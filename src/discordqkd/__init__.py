@@ -10,8 +10,6 @@ from .channel import (
     ChannelOutput,
     ChannelParams,
     apply_entangling_cloner,
-    condition_on_heterodyne,
-    condition_on_homodyne,
     correlation_matrix,
     excess_noise_delta,
     excess_noise_epsilon,
@@ -44,11 +42,9 @@ from .keyrate import (
 from .states import (
     DiscordStateParams,
     EprStateParams,
-    e_min,
     gaussian_discord,
     make_discord_state,
     make_epr_state,
-    symplectic_invariants,
 )
 from .sweeps import (
     CSV_HEADER,
@@ -65,26 +61,21 @@ from .sweeps import (
     threshold_on_t,
 )
 from .symplectic import (
-    OMEGA,
     I2,
-    SymplecticInvariants,
     SymplecticSpectrum,
     TwoModeCovariance,
-    X_PROJECT,
     Z,
     entropy_g,
     partial_transpose,
     ppt_min_eigenvalue,
     symplectic_spectrum,
-    symplectic_spectrum_oracle,
     von_neumann_entropy,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelOutput", "ChannelParams", "apply_entangling_cloner",
-    "condition_on_heterodyne", "condition_on_homodyne", "correlation_matrix",
+    "ChannelOutput", "ChannelParams", "apply_entangling_cloner", "correlation_matrix",
     "excess_noise_delta", "excess_noise_epsilon", "heterodyne_measured_variance",
     "ConvergenceFailure", "DegenerateInput", "DegenerateMatrix", "DomainError",
     "GaussianStateError", "InvalidParameter", "NonPhysicalState", "NoSignChange",
@@ -92,14 +83,13 @@ __all__ = [
     "Detection", "KeyRateReport", "ProtocolConfig", "Reconciliation",
     "conditional_variance", "eve_information", "make_source_state",
     "mutual_info_heterodyne", "mutual_info_homodyne", "secret_key_rate",
-    "DiscordStateParams", "EprStateParams", "e_min", "gaussian_discord",
-    "make_discord_state", "make_epr_state", "symplectic_invariants",
+    "DiscordStateParams", "EprStateParams", "gaussian_discord",
+    "make_discord_state", "make_epr_state",
     "CSV_HEADER", "FIGURE_IDS", "ResultRow", "SweepSpec", "evaluate_point",
     "figure_table", "grid", "rows_to_csv", "rows_to_json", "run_sweep",
     "threshold_on_discord", "threshold_on_t",
-    "OMEGA", "I2", "SymplecticInvariants", "SymplecticSpectrum",
-    "TwoModeCovariance", "X_PROJECT", "Z", "entropy_g", "partial_transpose",
-    "ppt_min_eigenvalue", "symplectic_spectrum", "symplectic_spectrum_oracle",
+    "I2", "SymplecticSpectrum", "TwoModeCovariance", "Z", "entropy_g",
+    "partial_transpose", "ppt_min_eigenvalue", "symplectic_spectrum",
     "von_neumann_entropy",
     "__version__",
 ]

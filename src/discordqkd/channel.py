@@ -3,9 +3,8 @@
 The transmitted mode is mixed with one arm of the attacker's EPR pair
 (variance W) on a beam splitter of transmission T.  The attacker keeps both
 the reflected output E' and the retained arm E''.  This module produces the
-legitimate parties' covariance, the attacker's covariance, the correlation
-matrices between the attacker and either party, and the conditioned attacker
-covariances after homodyne or heterodyne detection.
+legitimate parties' covariance, the attacker's covariance, and the
+correlations between the attacker and either party.
 """
 
 from __future__ import annotations
@@ -16,16 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .symplectic import (
-    I2,
-    X_PROJECT,
-    Z,
-    TwoModeCovariance,
-    _det2,
-    symplectic_spectrum,
-)
-
-_ISOTROPY_TOL = 1e-10
+from .symplectic import I2, Z, TwoModeCovariance
 
 
 @dataclass(frozen=True)
@@ -124,50 +114,6 @@ def apply_entangling_cloner(source: TwoModeCovariance, params: ChannelParams) ->
         zeta_prime=zeta_prime,
         eta_prime=eta_prime,
     )
-
-
-def _conditioned(sigma_e: TwoModeCovariance, update: np.ndarray) -> TwoModeCovariance:
-    out = TwoModeCovariance.from_matrix(sigma_e.matrix - update)
-    symplectic_spectrum(out)  # raises NonPhysicalState when conditioning is inconsistent
-    return out
-
-
-def condition_on_homodyne(
-    sigma_e: TwoModeCovariance, d: np.ndarray, v_meas: float
-) -> TwoModeCovariance:
-    """Attacker covariance after one party homodynes its X quadrature.
-
-    sigma_E - (1/v_meas) * D Pi D^T, where Pi projects onto the measured
-    quadrature and v_meas is the measured party's variance.
-    """
-    if not math.isfinite(v_meas) or v_meas <= 0.0:
-        raise InvalidParameter(f"measured variance must be positive, got {v_meas!r}")
-    d = np.asarray(d, dtype=float)
-    return _conditioned(sigma_e, (d @ X_PROJECT @ d.T) / v_meas)
-
-
-def condition_on_heterodyne(
-    sigma_e: TwoModeCovariance, d: np.ndarray, sigma_meas: np.ndarray
-) -> TwoModeCovariance:
-    """Attacker covariance after one party heterodynes both quadratures.
-
-    sigma_E - (1/Lambda) * D (sigma_meas + I) D^T with
-    Lambda = det(sigma_meas) + tr(sigma_meas) + 1.  The measured party's
-    covariance must be isotropic (v * I).
-    """
-    sigma_meas = np.asarray(sigma_meas, dtype=float)
-    if sigma_meas.shape != (2, 2):
-        raise InvalidParameter("measured covariance must be 2x2")
-    scale = max(1.0, float(np.abs(sigma_meas).max()))
-    iso = abs(sigma_meas[0, 0] - sigma_meas[1, 1]) <= _ISOTROPY_TOL * scale
-    off = max(abs(sigma_meas[0, 1]), abs(sigma_meas[1, 0])) <= _ISOTROPY_TOL * scale
-    if not (iso and off):
-        raise InvalidParameter("measured covariance must be isotropic (v * I)")
-    lam = _det2(sigma_meas) + float(np.trace(sigma_meas)) + 1.0
-    if lam <= 0.0:
-        raise InvalidParameter(f"heterodyne normalization must be positive, got {lam!r}")
-    d = np.asarray(d, dtype=float)
-    return _conditioned(sigma_e, (d @ (sigma_meas + I2) @ d.T) / lam)
 
 
 def heterodyne_measured_variance(v: float) -> float:

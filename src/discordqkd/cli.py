@@ -9,8 +9,9 @@ Subcommands:
 * ``discord``    Gaussian discord of a source state
 * ``ppt``        smallest partial-transpose symplectic eigenvalue
 
-Exit codes: 0 success, 2 invalid parameters or unknown figure, 3 non-physical
-state, 4 I/O failure, 5 no sign change in a threshold bracket.
+Exit codes: 0 success, 2 invalid parameters or unknown figure, 3 a point that
+could not be evaluated (non-physical or degenerate state), 4 I/O failure, 5 no
+sign change in a threshold bracket.
 """
 
 from __future__ import annotations
@@ -22,23 +23,16 @@ import sys
 from typing import Optional
 
 from .channel import ChannelParams
-from .errors import (
-    DegenerateInput,
-    DegenerateMatrix,
-    GaussianStateError,
-    InvalidParameter,
-    NonPhysicalState,
-    NoSignChange,
-    UnknownFigure,
-    UnsupportedState,
-)
+from .errors import GaussianStateError, InvalidParameter, NonPhysicalState, NoSignChange
 from .keyrate import Detection, Reconciliation, make_source_state
-from .states import DiscordStateParams, EprStateParams, gaussian_discord
+from .states import gaussian_discord
 from .sweeps import (
     FIGURE_IDS,
     FIGURE_STEPS,
+    ResultRow,
     SweepSpec,
     SWEEPABLE,
+    _source_params,
     evaluate_point,
     figure_table,
     rows_to_csv,
@@ -177,12 +171,6 @@ def _resolve_state(args: argparse.Namespace) -> tuple[str, float]:
     if args.ve is None:
         raise InvalidParameter("--ve is required for the EPR state")
     return state, args.ve
-
-
-def _source_params(state: str, variance: float):
-    if state == "discord":
-        return DiscordStateParams(v=variance - 1.0)
-    return EprStateParams(v_e=variance)
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -350,10 +338,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NonPhysicalState as exc:
         print(f"error: non-physical state: {exc}", file=sys.stderr)
         return 3
-    except (InvalidParameter, UnknownFigure, UnsupportedState,
-            DegenerateInput, DegenerateMatrix) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GaussianStateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

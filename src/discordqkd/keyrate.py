@@ -20,8 +20,6 @@ from .channel import (
     ChannelOutput,
     ChannelParams,
     apply_entangling_cloner,
-    condition_on_heterodyne,
-    condition_on_homodyne,
     heterodyne_measured_variance,
 )
 from .states import (
@@ -30,7 +28,7 @@ from .states import (
     make_discord_state,
     make_epr_state,
 )
-from .symplectic import I2, TwoModeCovariance, symplectic_spectrum, von_neumann_entropy
+from .symplectic import TwoModeCovariance, _spectrum_squares, entropy_g
 
 
 class Detection(str, enum.Enum):
@@ -81,12 +79,25 @@ def conditional_variance(v_x: float, cov_xy: float, v_y: float) -> float:
     return float(v_x) - float(cov_xy) ** 2 / float(v_y)
 
 
+def _mutual_info(detection: Detection, out: ChannelOutput) -> tuple[float, float]:
+    """(I(A:B) in bits, V(B|A)) for the chosen detection on both sides."""
+    if detection is Detection.HOMODYNE:
+        v_cond = conditional_variance(out.v_b, out.gamma_prime, out.v_a)
+        if v_cond <= 0.0:
+            raise ZeroDivisionError("conditional variance vanished")
+        return 0.5 * math.log2(out.v_b / v_cond), v_cond
+    v_am = heterodyne_measured_variance(out.v_a)
+    v_cond = conditional_variance(out.v_b, out.gamma_prime / math.sqrt(2.0), v_am)
+    v_bm = heterodyne_measured_variance(out.v_b)
+    v_cond_m = heterodyne_measured_variance(v_cond)
+    if v_cond_m <= 0.0:
+        raise ZeroDivisionError("conditional measured variance vanished")
+    return math.log2(v_bm / v_cond_m), v_cond
+
+
 def mutual_info_homodyne(out: ChannelOutput) -> float:
     """(1/2) log2[V_B / V(B|A)] for single-quadrature detection on both sides."""
-    v_cond = conditional_variance(out.v_b, out.gamma_prime, out.v_a)
-    if v_cond <= 0.0:
-        raise ZeroDivisionError("conditional variance vanished")
-    return 0.5 * math.log2(out.v_b / v_cond)
+    return _mutual_info(Detection.HOMODYNE, out)[0]
 
 
 def mutual_info_heterodyne(out: ChannelOutput) -> float:
@@ -95,35 +106,43 @@ def mutual_info_heterodyne(out: ChannelOutput) -> float:
     Each heterodyne detector adds a vacuum unit and halves the variance, so
     the measured-variance map v -> (v+1)/2 enters on both sides.
     """
-    v_am = heterodyne_measured_variance(out.v_a)
-    v_cond = conditional_variance(out.v_b, out.gamma_prime / math.sqrt(2.0), v_am)
-    v_bm = heterodyne_measured_variance(out.v_b)
-    v_cond_m = heterodyne_measured_variance(v_cond)
-    if v_cond_m <= 0.0:
-        raise ZeroDivisionError("conditional measured variance vanished")
-    return math.log2(v_bm / v_cond_m)
+    return _mutual_info(Detection.HETERODYNE, out)[0]
 
 
-def _eve_entropies(
-    detection: Detection, reconciliation: Reconciliation, out: ChannelOutput
-) -> tuple[float, float]:
-    """(S(E), S(E | reference measurement)) in bits."""
-    if reconciliation is Reconciliation.DIRECT:
-        d, v = out.d_dr, out.v_a
+def _entropy(ax: float, bx: float, cx: float, ay: float, by: float, cy: float) -> float:
+    """Entropy in bits of a two-mode state given by its X and Y blocks."""
+    hi, lo = _spectrum_squares(ax, bx, cx, ay, by, cy)
+    return entropy_g(math.sqrt(hi)) + entropy_g(math.sqrt(lo))
+
+
+def _eve_entropies(config: ProtocolConfig, out: ChannelOutput) -> tuple[float, float]:
+    """(S(E), S(E | reference measurement)) in bits.
+
+    The attacker's modes (E', E'') have X block [[e_v, phi], [phi, W]] and
+    Y block [[e_v, -phi], [-phi, W]].  The reference party, of variance v,
+    correlates with them as zeta and eta on X and as zeta and -eta on Y.
+    Homodyning its X quadrature subtracts [[zeta^2, zeta*eta], [zeta*eta,
+    eta^2]] / v from the X block; heterodyning subtracts that matrix over
+    v + 1 from the X block and its sign-flipped off-diagonal twin from Y.
+    """
+    if config.reconciliation is Reconciliation.DIRECT:
+        zeta, eta, v = out.zeta, out.eta, out.v_a
     else:
-        d, v = out.d_rr, out.v_b
-    if detection is Detection.HOMODYNE:
-        conditioned = condition_on_homodyne(out.sigma_e, d, v)
-    else:
-        conditioned = condition_on_heterodyne(out.sigma_e, d, v * I2)
-    s_e = von_neumann_entropy(symplectic_spectrum(out.sigma_e))
-    s_cond = von_neumann_entropy(symplectic_spectrum(conditioned))
-    return s_e, s_cond
+        zeta, eta, v = out.zeta_prime, out.eta_prime, out.v_b
+    e_v, w, phi = out.e_v, config.channel.w, out.phi
+    s = v if config.detection is Detection.HOMODYNE else v + 1.0
+    xx = e_v - zeta * zeta / s
+    xy = phi - zeta * eta / s
+    ww = w - eta * eta / s
+    s_e = _entropy(e_v, w, phi, e_v, w, -phi)
+    if config.detection is Detection.HOMODYNE:
+        return s_e, _entropy(xx, ww, xy, e_v, w, -phi)
+    return s_e, _entropy(xx, ww, xy, xx, ww, -xy)
 
 
 def eve_information(config: ProtocolConfig, out: ChannelOutput) -> float:
     """Holevo-type attacker information S(E) - S(E|.) for the chosen protocol."""
-    s_e, s_cond = _eve_entropies(config.detection, config.reconciliation, out)
+    s_e, s_cond = _eve_entropies(config, out)
     return s_e - s_cond
 
 
@@ -135,15 +154,8 @@ def secret_key_rate(config: ProtocolConfig) -> KeyRateReport:
     """
     source = make_source_state(config.source)
     out = apply_entangling_cloner(source, config.channel)
-    if config.detection is Detection.HOMODYNE:
-        i_ab = mutual_info_homodyne(out)
-        v_cond = conditional_variance(out.v_b, out.gamma_prime, out.v_a)
-    else:
-        i_ab = mutual_info_heterodyne(out)
-        v_cond = conditional_variance(
-            out.v_b, out.gamma_prime / math.sqrt(2.0), heterodyne_measured_variance(out.v_a)
-        )
-    s_e, s_cond = _eve_entropies(config.detection, config.reconciliation, out)
+    i_ab, v_cond = _mutual_info(config.detection, out)
+    s_e, s_cond = _eve_entropies(config, out)
     i_eve = s_e - s_cond
     return KeyRateReport(
         i_ab=i_ab,

@@ -15,24 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DegenerateInput, InvalidParameter
-from .symplectic import (
-    I2,
-    Z,
-    SymplecticInvariants,
-    TwoModeCovariance,
-    _det2,
-    entropy_g,
-    symplectic_spectrum,
-)
+from .errors import InvalidParameter
+from .symplectic import I2, Z, TwoModeCovariance, _det, entropy_g, symplectic_spectrum
 
 #: Cross-correlation determinants smaller than this mean a product state.
 PRODUCT_STATE_TOL = 1e-12
-
-_BRANCH_BOUNDARY_RTOL = 1e-12
-_BRANCH_AGREE_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -80,94 +67,28 @@ def make_epr_state(params: EprStateParams) -> TwoModeCovariance:
     return TwoModeCovariance(v_e * I2, v_e * I2, gamma * Z)
 
 
-def symplectic_invariants(sigma: TwoModeCovariance) -> SymplecticInvariants:
-    """Block determinants I1..I4 of a covariance; I4 is the full 4x4 determinant."""
-    i1 = _det2(sigma.a)
-    i2 = _det2(sigma.b)
-    i3 = _det2(sigma.c)
-    i4 = float(np.linalg.det(sigma.matrix))
-    return SymplecticInvariants(i1=i1, i2=i2, i3=i3, i4=i4, delta=i1 + i2 + 2.0 * i3)
-
-
-def _branch_a(i1: float, i2: float, i3: float, i4: float) -> float:
-    den = (i2 - 1.0) ** 2
-    if den == 0.0:
-        raise DegenerateInput(
-            "conditional determinant undefined: I2 = 1 with the first branch selected"
-        )
-    inner = i3 * i3 + (i2 - 1.0) * (i4 - i1)
-    if inner < 0.0:
-        scale = max(1.0, i3 * i3, abs((i2 - 1.0) * (i4 - i1)))
-        if inner < -1e-9 * scale:
-            raise DegenerateInput(f"negative branch discriminant: {inner!r}")
-        inner = 0.0
-    return (2.0 * i3 * i3 + (i2 - 1.0) * (i4 - i1) + 2.0 * abs(i3) * math.sqrt(inner)) / den
-
-
-def _branch_b(i1: float, i2: float, i3: float, i4: float) -> float:
-    # The discriminant is written as a difference of two squares; expanding it
-    # into I3^4 + (I4 - I1*I2)^2 - 2*I3^2*(I4 + I1*I2) cancels catastrophically
-    # on the branch boundary, where pure states sit.
-    base = i3 * i3 - i1 * i2 - i4
-    inner = base * base - 4.0 * i1 * i2 * i4
-    if inner < 0.0:
-        scale = max(1.0, base * base, 4.0 * abs(i1 * i2 * i4))
-        if inner < -1e-9 * scale:
-            raise DegenerateInput(f"negative branch discriminant: {inner!r}")
-        inner = 0.0
-    return (i1 * i2 - i3 * i3 + i4 - math.sqrt(inner)) / (2.0 * i2)
-
-
-def e_min(inv: SymplecticInvariants) -> float:
-    """Smallest conditional determinant over Gaussian measurements on mode 2.
-
-    Two closed-form branches apply depending on whether
-    (I4 - I1*I2)^2 <= I3^2 (I2 + 1)(I1 + I4).  On the boundary (within
-    relative 1e-12) both branches are evaluated, required to agree to
-    relative 1e-6, and the first branch is returned.
-    """
-    i1, i2, i3, i4 = inv.i1, inv.i2, inv.i3, inv.i4
-    lhs = (i4 - i1 * i2) ** 2
-    rhs = i3 * i3 * (i2 + 1.0) * (i1 + i4)
-    scale = max(1.0, abs(lhs), abs(rhs))
-    if abs(lhs - rhs) <= _BRANCH_BOUNDARY_RTOL * scale:
-        val_a = _branch_a(i1, i2, i3, i4)
-        val_b = _branch_b(i1, i2, i3, i4)
-        agree_scale = max(abs(val_a), abs(val_b), 1e-300)
-        # On the boundary the second branch's discriminant cancels completely,
-        # so it inherits the 4x4 determinant's rounding error; the agreement
-        # tolerance must carry that allowance or large pure states would be
-        # rejected spuriously.
-        det_noise = math.sqrt(1e-9 * abs(i1 * i2 * i4)) / (2.0 * abs(i2))
-        if abs(val_a - val_b) > _BRANCH_AGREE_RTOL * agree_scale + det_noise:
-            raise DegenerateInput(
-                f"branch values disagree on the boundary: {val_a!r} vs {val_b!r}"
-            )
-        return val_a
-    if lhs <= rhs:
-        return _branch_a(i1, i2, i3, i4)
-    return _branch_b(i1, i2, i3, i4)
-
-
 def gaussian_discord(sigma: TwoModeCovariance, *, log_base: float = 2.0) -> float:
-    """Gaussian quantum discord of a two-mode state, measured on mode 2.
+    """Gaussian quantum discord of a block-form two-mode state, measured on mode 2.
 
-    D = f(sqrt(I2)) - f(nu_minus) - f(nu_plus) + f(sqrt(E_min)) with f the
-    bosonic entropy function.  The default is base-2 logarithms (bits);
-    pass log_base=math.e for the natural-log convention common in the
-    discord literature, in which separable states satisfy D <= 1.
+    D = f(beta) - f(nu_minus) - f(nu_plus) + f(sqrt(E_min)) with f the
+    bosonic entropy function.  For the (alpha*I, beta*I, gamma*Z) form,
+    heterodyne detection is the optimal Gaussian measurement, so
+    sqrt(E_min) = (alpha*beta - gamma^2 + alpha) / (beta + 1).  Raises
+    UnsupportedState for other states.  The default is base-2 logarithms
+    (bits); pass log_base=math.e for the natural-log convention common in
+    the discord literature, in which separable states satisfy D <= 1.
 
-    Product states (|I3| < 1e-12) short-circuit to exactly 0.
+    Product states (gamma^2 < 1e-12) short-circuit to exactly 0.
     """
-    inv = symplectic_invariants(sigma)
-    if abs(inv.i3) < PRODUCT_STATE_TOL:
+    alpha, beta, gamma = sigma.block_form()
+    if gamma * gamma < PRODUCT_STATE_TOL:
         return 0.0
     spectrum = symplectic_spectrum(sigma)
     value = (
-        entropy_g(math.sqrt(inv.i2))
+        entropy_g(beta)
         - entropy_g(spectrum.nu_minus)
         - entropy_g(spectrum.nu_plus)
-        + entropy_g(math.sqrt(e_min(inv)))
+        + entropy_g((_det(alpha, beta, gamma) + alpha) / (beta + 1.0))
     )
     if log_base != 2.0:
         value *= math.log(2.0) / math.log(log_base)

@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 from .channel import ChannelParams
-from .errors import InvalidParameter, NonPhysicalState, NoSignChange, UnknownFigure
+from .errors import GaussianStateError, InvalidParameter, NoSignChange, UnknownFigure
 from .keyrate import (
     Detection,
     ProtocolConfig,
@@ -126,8 +125,9 @@ def evaluate_point(
 ) -> ResultRow:
     """Evaluate one grid point into a ResultRow.
 
-    Parameter errors propagate; a NonPhysicalState during evaluation is
-    recorded in the row's error field instead of aborting a sweep.
+    Parameter errors propagate; any other GaussianStateError raised during
+    evaluation is recorded in the row's error field instead of aborting a
+    sweep.
     """
     variance, t, w = float(variance), float(t), float(w)
     source = _source_params(state, variance)
@@ -151,7 +151,7 @@ def evaluate_point(
         discord = gaussian_discord(sigma)
         ppt = ppt_min_eigenvalue(sigma)
         report = secret_key_rate(config)
-    except NonPhysicalState as exc:
+    except GaussianStateError as exc:
         return ResultRow(
             discord=None, ppt_nu=None, i_ab=None, i_eve=None, key_rate=None,
             error=str(exc), **common,
@@ -219,9 +219,14 @@ def table_to_csv(header: Sequence[str], table: Sequence[Sequence[float]]) -> str
 
 
 def write_text_atomic(text: str, path: str) -> None:
-    """Write via a temp file and rename, so no partial file survives a failure."""
+    """Write via a temp file and rename, so no partial file survives a failure.
+
+    The temp file is created with mode 0666 less the umask, as a file opened
+    in place would be.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -232,12 +237,6 @@ def write_text_atomic(text: str, path: str) -> None:
         except OSError:
             pass
         raise
-
-
-def _figure_key_rate(state: str, variance: float, t: float, w: float,
-                     det: Detection, rec: Reconciliation, clamp: bool) -> Optional[float]:
-    row = evaluate_point(state, variance, t, w, det, rec, clamp_negative=clamp)
-    return row.key_rate
 
 
 _FIG_CURVES = [("discord", 40.0, "discord_vd40"), ("discord", 1000.0, "discord_vd1000"),
@@ -284,7 +283,8 @@ def figure_table(
         for t in grid(0.0, 1.0, steps):
             row = [t]
             for state, variance, _ in _FIG_CURVES:
-                row.append(_figure_key_rate(state, variance, t, w, det, rec, clamp_negative))
+                row.append(evaluate_point(state, variance, t, w, det, rec,
+                                          clamp_negative=clamp_negative).key_rate)
             table.append(row)
         return header, table
     if figure_id in _FIG5_PRESETS:
@@ -295,7 +295,8 @@ def figure_table(
             sigma = make_source_state(DiscordStateParams(v=vd - 1.0))
             row = [vd, gaussian_discord(sigma)]
             for t in t_values:
-                row.append(_figure_key_rate("discord", vd, t, w, det, rec, clamp_negative))
+                row.append(evaluate_point("discord", vd, t, w, det, rec,
+                                          clamp_negative=clamp_negative).key_rate)
             table.append(row)
         return header, table
     raise UnknownFigure(f"unknown figure id {figure_id!r}; known: {', '.join(FIGURE_IDS)}")

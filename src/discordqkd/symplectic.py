@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConvergenceFailure,
     DegenerateMatrix,
     DomainError,
     InvalidParameter,
@@ -24,16 +23,13 @@ from .errors import (
 
 I2 = np.eye(2)
 Z = np.diag([1.0, -1.0])
-X_PROJECT = np.diag([1.0, 0.0])
-OMEGA1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-OMEGA = np.block([[OMEGA1, np.zeros((2, 2))], [np.zeros((2, 2)), OMEGA1]])
 
-# Eigenvalues in [1 - CLAMP_TOL, 1) are treated as exactly 1; anything below
-# 1 - PHYSICAL_TOL is rejected instead of silently clamped.
-CLAMP_TOL = 1e-9
+# Symplectic eigenvalues in [1 - PHYSICAL_TOL, 1) are rounding noise of a
+# pure mode; anything lower is rejected as non-physical.
 PHYSICAL_TOL = 1e-6
 
 _BLOCK_FORM_TOL = 1e-10
+_LN2 = math.log(2.0)
 
 
 def _as_block(m, name: str) -> np.ndarray:
@@ -43,10 +39,6 @@ def _as_block(m, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidParameter(f"{name} block contains non-finite entries")
     return arr
-
-
-def _det2(m: np.ndarray) -> float:
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
 @dataclass(frozen=True)
@@ -128,128 +120,60 @@ class SymplecticSpectrum:
         return iter((self.nu_plus, self.nu_minus))
 
 
-@dataclass(frozen=True)
-class SymplecticInvariants:
-    """Block determinants (I1, I2, I3, I4) and their sum Delta = I1 + I2 + 2*I3."""
-
-    i1: float
-    i2: float
-    i3: float
-    i4: float
-    delta: float
+def _det(a: float, b: float, c: float) -> float:
+    """ab - c^2 of [[a, c], [c, b]], exact in the large entries when a ~ b ~ |c|."""
+    return (a - c) * (b + c) - c * (a - b)
 
 
-def _spectrum_squares(delta: float, det4: float) -> tuple[float, float]:
-    """(nu_plus^2, nu_minus^2) from Delta and det(sigma), with clamping.
+def _spectrum_squares(
+    ax: float, bx: float, cx: float, ay: float, by: float, cy: float
+) -> tuple[float, float]:
+    """(nu_plus^2, nu_minus^2) of a state without X-Y correlations.
 
-    nu_minus^2 is evaluated as 2*det/(Delta + sqrt(disc)) rather than by the
-    textbook subtraction, which loses most significant digits whenever the
-    two eigenvalues are widely separated or the matrix entries are large.
+    The state's X block is [[ax, cx], [cx, bx]] and its Y block
+    [[ay, cy], [cy, by]]; the squared symplectic eigenvalues are the
+    eigenvalues of their product.  Trace and discriminant are written so that
+    the large entries of a strongly correlated state cancel exactly, and the
+    smaller eigenvalue is det(X) det(Y) / nu_plus^2, so nothing is lost to
+    rounding when the entries are large or the spectrum is degenerate.
     """
-    scale = max(1.0, delta * delta, 4.0 * abs(det4))
-    if det4 < -CLAMP_TOL * scale:
-        raise DegenerateMatrix(f"covariance determinant is negative: {det4!r}")
-    det4 = max(det4, 0.0)
-    disc = delta * delta - 4.0 * det4
-    if disc < 0.0:
-        if disc < -CLAMP_TOL * scale:
-            raise DegenerateMatrix(
-                f"spectrum discriminant is negative beyond tolerance: {disc!r}"
-            )
-        disc = 0.0
-    hi = 0.5 * (delta + math.sqrt(disc))
-    if hi <= 0.0:
-        raise DegenerateMatrix("covariance has no positive symplectic spectrum")
-    lo = det4 / hi
-    if lo > hi:  # possible by one ulp when the spectrum is degenerate
-        hi, lo = lo, hi
-    return hi, lo
+    det_x = _det(ax, bx, cx)
+    det_y = _det(ay, by, cy)
+    trace = det_x + det_y + (ax - by) * (ay - bx) + (cx + cy) ** 2
+    disc = (ax * ay - bx * by) ** 2 + 4.0 * (ax * cy + cx * by) * (cx * ay + bx * cy)
+    # disc >= 0 for any positive semidefinite pair; max() absorbs its last-bit rounding.
+    hi = 0.5 * (trace + math.sqrt(max(disc, 0.0)))
+    if min(ax, bx, ay, by, det_x, det_y) < 0.0 or hi <= 0.0:
+        raise DegenerateMatrix("covariance is not positive definite")
+    return hi, min(det_x * det_y / hi, hi)
+
+
+def _quadrature_entries(sigma: TwoModeCovariance) -> tuple[float, ...]:
+    """(ax, bx, cx, ay, by, cy): the X and Y blocks of sigma.
+
+    Raises UnsupportedState when sigma correlates X with Y quadratures.
+    """
+    a, b, c = sigma.a, sigma.b, sigma.c
+    tol = _BLOCK_FORM_TOL * max(1.0, float(np.abs(sigma.matrix).max()))
+    if max(abs(a[0, 1]), abs(b[0, 1]), abs(c[0, 1]), abs(c[1, 0])) > tol:
+        raise UnsupportedState("covariance correlates X and Y quadratures")
+    return (float(a[0, 0]), float(b[0, 0]), float(c[0, 0]),
+            float(a[1, 1]), float(b[1, 1]), float(c[1, 1]))
 
 
 def symplectic_spectrum(sigma: TwoModeCovariance) -> SymplecticSpectrum:
     """Symplectic eigenvalues {nu_plus, nu_minus} of a physical covariance.
 
-    Uses the closed form nu_pm^2 = (Delta +- sqrt(Delta^2 - 4 det sigma))/2
-    with Delta = det A + det B + 2 det C.  Raises NonPhysicalState when the
-    smaller eigenvalue falls below the vacuum bound.
+    Takes states without X-Y correlations (UnsupportedState otherwise), whose
+    squared eigenvalues are those of the product of the X and Y blocks.
+    Raises NonPhysicalState when the smaller eigenvalue falls below the
+    vacuum bound.
     """
-    det4 = float(np.linalg.det(sigma.matrix))
-    delta = _det2(sigma.a) + _det2(sigma.b) + 2.0 * _det2(sigma.c)
-    hi, lo = _spectrum_squares(delta, det4)
+    hi, lo = _spectrum_squares(*_quadrature_entries(sigma))
     nu_minus = math.sqrt(lo)
     if nu_minus < 1.0 - PHYSICAL_TOL:
-        # Near-pure states of large variance lose the whole discriminant to
-        # rounding in Delta^2 - 4 det, which can push the closed-form value
-        # below the physicality gate; re-derive through the eigenvalue path
-        # (free of that cancellation) before rejecting.
-        try:
-            retried = symplectic_spectrum_oracle(sigma)
-        except DegenerateMatrix:
-            raise NonPhysicalState(
-                f"smallest symplectic eigenvalue {nu_minus!r} is below 1"
-            ) from None
-        if retried.nu_minus < 1.0 - PHYSICAL_TOL:
-            raise NonPhysicalState(
-                f"smallest symplectic eigenvalue {retried.nu_minus!r} is below 1"
-            )
-        return retried
+        raise NonPhysicalState(f"smallest symplectic eigenvalue {nu_minus!r} is below 1")
     return SymplecticSpectrum(nu_plus=math.sqrt(hi), nu_minus=nu_minus)
-
-
-def _char_poly_coeffs(m: np.ndarray) -> list[float]:
-    """Characteristic polynomial of a 4x4 matrix by the trace recurrence."""
-    coeffs = [1.0]
-    mk = m.copy()
-    for k in range(1, 5):
-        ck = -np.trace(mk) / k
-        coeffs.append(float(ck))
-        if k < 4:
-            mk = m @ (mk + ck * np.eye(4))
-    return coeffs
-
-
-def symplectic_spectrum_oracle(sigma: TwoModeCovariance) -> SymplecticSpectrum:
-    """Symplectic spectrum from the standard eigenvalues of i*Omega*sigma.
-
-    Independent verification path: sigma^(1/2) Omega sigma^(1/2) is similar
-    to Omega*sigma and antisymmetric, so i times it is Hermitian and its
-    (real, +-paired) eigenvalues are obtained by a stable Hermitian solve.
-    The block-determinant shortcut is never used.  Residuals of the computed
-    eigenvalues in the characteristic polynomial of Omega*sigma are checked;
-    exact +- pairing is also required.
-    """
-    m = sigma.matrix
-    w, q = np.linalg.eigh(m)
-    if w[0] <= 0.0:
-        raise DegenerateMatrix("covariance is not positive definite")
-    root = (q * np.sqrt(w)) @ q.T
-    k = root @ OMEGA @ root
-    k = 0.5 * (k - k.T)
-    lam = np.linalg.eigvalsh(1j * k)
-    mods = np.sort(np.abs(lam))
-    scale = max(1.0, mods[-1])
-    if mods[1] - mods[0] > 1e-12 * scale or mods[3] - mods[2] > 1e-12 * scale:
-        raise ConvergenceFailure(
-            f"eigenvalue moduli do not form +- pairs: {mods.tolist()!r}"
-        )
-    coeffs = _char_poly_coeffs(OMEGA @ m)
-    # The k-th coefficient is assembled from traces of M^k and so carries an
-    # absolute rounding error of order eps * ||M||^k; the residual tolerance
-    # must scale accordingly or well-resolved eigenvalues of large-variance
-    # states would be rejected.
-    base = max(1.0, float(np.abs(m).max()) * 4.0)
-    for nu in (mods[0], mods[2]):
-        val = complex(0.0)
-        for c in coeffs:
-            val = val * (1j * nu) + c
-        if abs(val) > 1e-12 * (base + nu) ** 4:
-            raise ConvergenceFailure(
-                f"characteristic-polynomial residual {abs(val)!r} too large at nu={nu!r}"
-            )
-    return SymplecticSpectrum(
-        nu_plus=float(0.5 * (mods[2] + mods[3])),
-        nu_minus=float(0.5 * (mods[0] + mods[1])),
-    )
 
 
 def partial_transpose(sigma: TwoModeCovariance) -> TwoModeCovariance:
@@ -261,30 +185,30 @@ def ppt_min_eigenvalue(sigma: TwoModeCovariance) -> float:
     """Smallest symplectic eigenvalue of the partially transposed covariance.
 
     A two-mode Gaussian state is entangled exactly when this value drops
-    below 1.  The input itself must be physical.
+    below 1.  The input itself must be physical and free of X-Y correlations;
+    the partial transpose negates the Y-Y cross-correlation.
     """
     symplectic_spectrum(sigma)
-    det4 = float(np.linalg.det(sigma.matrix))
-    delta_pt = _det2(sigma.a) + _det2(sigma.b) - 2.0 * _det2(sigma.c)
-    _, lo = _spectrum_squares(delta_pt, det4)
-    return math.sqrt(lo)
+    ax, bx, cx, ay, by, cy = _quadrature_entries(sigma)
+    return math.sqrt(_spectrum_squares(ax, bx, cx, ay, by, -cy)[1])
 
 
 def entropy_g(nu: float) -> float:
     """Bosonic entropy of a thermal mode with symplectic eigenvalue nu, in bits.
 
-    g(nu) = ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2), continued
-    to g(1) = 0.  Values marginally below 1 (floating-point noise near pure
-    states) are clamped to 1; values below 1 - 1e-6 are rejected.
+    g(nu) = ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2), evaluated
+    as [log(1 + b) + b log(1 + 1/b)] / log(2) with b = (nu-1)/2, which keeps
+    full relative precision near nu = 1 and for large nu; g(1) = 0.  Values
+    marginally below 1 (floating-point noise near pure states) are clamped to
+    1; values below 1 - 1e-6 are rejected.
     """
     nu = float(nu)
     if not math.isfinite(nu) or nu < 1.0 - PHYSICAL_TOL:
         raise DomainError(f"entropy argument {nu!r} is below the vacuum bound")
     if nu <= 1.0:
         return 0.0
-    a = 0.5 * (nu + 1.0)
     b = 0.5 * (nu - 1.0)
-    return a * math.log2(a) - b * math.log2(b)
+    return (math.log1p(b) + b * math.log1p(1.0 / b)) / _LN2
 
 
 def von_neumann_entropy(spectrum: SymplecticSpectrum) -> float:

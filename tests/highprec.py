@@ -25,9 +25,14 @@ def d(x) -> Decimal:
 
 
 def entropy_term(nu: Decimal, log_base: Decimal = TWO) -> Decimal:
-    """Bosonic entropy function ((v+1)/2)log((v+1)/2) - ((v-1)/2)log((v-1)/2)."""
+    """Bosonic entropy function ((v+1)/2)log((v+1)/2) - ((v-1)/2)log((v-1)/2).
+
+    Within 1e-20 of 1 the mode is pure and the entropy is 0: at 50 digits a
+    pure state's eigenvalue can land about 1e-25 below 1.  Further below 1,
+    the logarithm of a negative number raises decimal.InvalidOperation.
+    """
     nu = d(nu)
-    if abs(nu - 1) < Decimal("1e-30"):
+    if abs(nu - 1) < Decimal("1e-20"):
         return Decimal(0)
     a = (nu + 1) / 2
     b = (nu - 1) / 2

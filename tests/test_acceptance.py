@@ -28,8 +28,6 @@ from discordqkd import (
     Reconciliation,
     TwoModeCovariance,
     apply_entangling_cloner,
-    condition_on_heterodyne,
-    condition_on_homodyne,
     evaluate_point,
     gaussian_discord,
     make_discord_state,
@@ -39,7 +37,6 @@ from discordqkd import (
     run_sweep,
     secret_key_rate,
     symplectic_spectrum,
-    symplectic_spectrum_oracle,
     threshold_on_discord,
     threshold_on_t,
     von_neumann_entropy,
@@ -48,6 +45,7 @@ from discordqkd.symplectic import I2
 from discordqkd.sweeps import SweepSpec, bisect_sign_change
 
 import oracles
+from oracles import condition_on_heterodyne, condition_on_homodyne, symplectic_spectrum_oracle
 
 ALL_PROTOCOLS = [(det, rec) for det in Detection for rec in Reconciliation]
 

@@ -14,8 +14,6 @@ from discordqkd import (
     TwoModeCovariance,
     UnsupportedState,
     apply_entangling_cloner,
-    condition_on_heterodyne,
-    condition_on_homodyne,
     correlation_matrix,
     excess_noise_delta,
     excess_noise_epsilon,
@@ -23,13 +21,13 @@ from discordqkd import (
     make_discord_state,
     make_epr_state,
     symplectic_spectrum,
-    symplectic_spectrum_oracle,
     von_neumann_entropy,
 )
 from discordqkd.symplectic import I2, Z
 
 import highprec as hp
 import oracles
+from oracles import condition_on_heterodyne, condition_on_homodyne, symplectic_spectrum_oracle
 
 # Frozen from tests/highprec.py (Decimal, 50 digits): discord source with
 # V_D = 40 through T = 0.5, W = 1.

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -270,3 +272,41 @@ class TestConfigFile:
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "eval", "--config", str(tmp_path / "nope.cfg"))
         assert code == 4
+
+
+class TestRowErrors:
+    def test_failed_points_are_marked_not_fatal(self, capsys):
+        # At W = 1e8 the attacker's conditioned blocks lose their leading
+        # digits to rounding; such points are recorded in their rows.
+        code, out, _ = run_cli(
+            capsys, "sweep", "--sweep", "w", "--range", "1:1e8", "--state", "epr",
+            "--ve", "1e6", "--t", "0.5", "--steps", "5",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 20
+        failed = [row for row in rows if row[12]]
+        assert failed
+        for row in failed:
+            assert row[7:12] == [""] * 5
+            code, _, err = run_cli(
+                capsys, "eval", "--state", "epr", "--ve", "1e6", "--t", "0.5",
+                "--w", row[4], "--det", row[5], "--rec", row[6],
+            )
+            assert code == 3
+            assert row[12] in err
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_out_file_follows_umask(self, capsys, tmp_path, umask, mode):
+        target = tmp_path / "f.csv"
+        old = os.umask(umask)
+        try:
+            code, _, _ = run_cli(
+                capsys, "figure", "fig2", "--steps", "3", "--out", str(target)
+            )
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == mode

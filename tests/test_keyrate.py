@@ -1,5 +1,6 @@
 """Tests for mutual information, attacker information, and key rates."""
 
+import decimal
 import math
 
 import pytest
@@ -292,3 +293,15 @@ class TestSecretKeyRate:
             state, variance, t, 1.0, Detection.HETERODYNE, Reconciliation.DIRECT
         )
         assert row.key_rate == pytest.approx(expected, abs=1e-8)
+
+
+class TestHighPrecisionReference:
+    @pytest.mark.parametrize("w", [1.24, 1.3, 2.0])
+    def test_attacker_entropy_vanishes_at_full_transmission(self, w):
+        # At T = 1 the attacker keeps her own pure EPR pair; at 50 digits its
+        # eigenvalue lands about 1e-25 below 1, inside the purity guard.
+        assert hp.eve_entropy(hp.ClonerScalars(*hp.discord_source(40.0), 1.0, w)) == 0
+
+    def test_entropy_below_vacuum_still_raises(self):
+        with pytest.raises(decimal.InvalidOperation):
+            hp.entropy_term(hp.d("0.999"))

@@ -6,20 +6,31 @@ import numpy as np
 import pytest
 
 from discordqkd import (
+    ChannelParams,
     DegenerateInput,
+    Detection,
     DiscordStateParams,
     EprStateParams,
     InvalidParameter,
-    e_min,
+    Reconciliation,
+    apply_entangling_cloner,
+    entropy_g,
+    evaluate_point,
     gaussian_discord,
+    grid,
     make_discord_state,
     make_epr_state,
+    symplectic_spectrum,
+)
+from discordqkd.symplectic import I2, Z
+
+import highprec as hp
+from oracles import (
+    SymplecticInvariants,
+    e_min,
     symplectic_invariants,
     symplectic_spectrum_oracle,
 )
-from discordqkd.symplectic import I2, SymplecticInvariants, Z
-
-import highprec as hp
 
 # Frozen from tests/highprec.py (Decimal, 50 digits).
 DISCORD_BITS_V1 = 0.1683057223577845258
@@ -132,7 +143,7 @@ class TestConditionalDeterminant:
 
     def test_selector_follows_inequality(self):
         rng = np.random.default_rng(5)
-        from discordqkd.states import _branch_a, _branch_b
+        from oracles import _branch_a, _branch_b
 
         for _ in range(200):
             v = float(10.0 ** rng.uniform(-1.5, 3.0))
@@ -210,10 +221,8 @@ class TestGaussianDiscord:
         sigma = make_epr_state(EprStateParams(v_e=40.0))
         bits = gaussian_discord(sigma)
         nats = gaussian_discord(sigma, log_base=math.e)
-        # Near-pure spectra carry ~1e-6-level eigenvalue noise through the
-        # entropy function's vertical tangent at nu = 1.
-        assert bits == pytest.approx(EPR_DISCORD_BITS_VE40, abs=1e-4)
-        assert nats == pytest.approx(EPR_DISCORD_NATS_VE40, abs=1e-4)
+        assert bits == pytest.approx(EPR_DISCORD_BITS_VE40, abs=1e-8)
+        assert nats == pytest.approx(EPR_DISCORD_NATS_VE40, abs=1e-8)
         assert nats > 1.0
 
     def test_matches_decimal_reference_randomized(self):
@@ -223,3 +232,58 @@ class TestGaussianDiscord:
             got = gaussian_discord(make_discord_state(DiscordStateParams(v=v)))
             expected = float(hp.gaussian_discord(*hp.discord_state_invariants(v)))
             assert got == pytest.approx(expected, rel=1e-8)
+
+    def test_epr_discord_is_mode_entropy_on_dense_grid(self):
+        # A pure state's discord is the entropy of one mode, g(V_E).  The
+        # spectrum sits on nu = 1, where g has a vertical tangent, so this
+        # is the hardest case for rounding.
+        for v_e in grid(1.0, 1000.0, 2000):
+            row = evaluate_point(
+                "epr", v_e, 0.9, 1.0, Detection.HETERODYNE, Reconciliation.REVERSE
+            )
+            assert row.error == ""
+            assert row.discord == pytest.approx(float(hp.entropy_term(v_e)), abs=1e-8)
+
+    @pytest.mark.parametrize("v_d", [1e7, 1e8, 1e10, 1e15])
+    def test_large_variance_discord_state_stays_separable(self, v_d):
+        # Squared entries reach 1e30 here; the closed forms never form them
+        # as differences, so PPT stays at 1 and discord at its reference.
+        expected = float(hp.gaussian_discord(*hp.discord_state_invariants(hp.d(v_d) - 1)))
+        for det in Detection:
+            for rec in Reconciliation:
+                row = evaluate_point("discord", v_d, 0.9, 1.0, det, rec)
+                assert row.error == ""
+                assert row.ppt_nu == pytest.approx(1.0, abs=1e-12)
+                assert row.discord == pytest.approx(expected, abs=1e-12)
+
+
+class TestHeterodyneOptimality:
+    """The closed-form E_min against the two-branch minimisation of tests/oracles.py."""
+
+    @staticmethod
+    def _discord_via_two_branch(sigma):
+        inv = symplectic_invariants(sigma)
+        spec = symplectic_spectrum(sigma)
+        return (
+            entropy_g(math.sqrt(inv.i2))
+            - entropy_g(spec.nu_minus)
+            - entropy_g(spec.nu_plus)
+            + entropy_g(math.sqrt(e_min(inv)))
+        )
+
+    def test_closed_form_matches_two_branch_e_min(self):
+        # alpha = beta: the discord state itself; alpha != beta: the shared
+        # state after the channel, from either source.  At V ~ 1e6 the
+        # oracle's 4x4 determinant carries ~5e-11 relative noise into E_min.
+        for v in np.logspace(-2.0, 6.0, 41):
+            v = float(v)
+            discord = make_discord_state(DiscordStateParams(v=v))
+            states = [discord]
+            for source in (discord, make_epr_state(EprStateParams(v_e=1.0 + v))):
+                for t in (0.1, 0.5, 0.9):
+                    for w in (1.0, 1.5, 3.0):
+                        out = apply_entangling_cloner(source, ChannelParams(t=t, w=w))
+                        states.append(out.sigma_ab)
+            for sigma in states:
+                expected = self._discord_via_two_branch(sigma)
+                assert gaussian_discord(sigma) == pytest.approx(expected, rel=1e-10, abs=1e-10)

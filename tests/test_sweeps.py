@@ -8,6 +8,7 @@ import pytest
 
 from discordqkd import (
     CSV_HEADER,
+    DegenerateMatrix,
     Detection,
     InvalidParameter,
     NonPhysicalState,
@@ -140,6 +141,17 @@ class TestRunSweep:
         assert rows[1].error == "synthetic failure"
         assert rows[1].key_rate is None
         assert rows[2].error == ""
+
+    def test_any_evaluation_error_is_recorded(self, monkeypatch):
+        def degenerate(config):
+            raise DegenerateMatrix("synthetic degeneracy")
+
+        monkeypatch.setattr(sweeps_mod, "secret_key_rate", degenerate)
+        row = evaluate_point(
+            "discord", 40.0, 0.5, 1.0, Detection.HOMODYNE, Reconciliation.DIRECT
+        )
+        assert row.error == "synthetic degeneracy"
+        assert (row.discord, row.ppt_nu, row.key_rate) == (None, None, None)
 
 
 class TestSerialization:

@@ -15,15 +15,14 @@ from discordqkd import (
     NonPhysicalState,
     SymplecticSpectrum,
     TwoModeCovariance,
+    UnsupportedState,
     apply_entangling_cloner,
-    condition_on_homodyne,
     entropy_g,
     make_discord_state,
     make_epr_state,
     partial_transpose,
     ppt_min_eigenvalue,
     symplectic_spectrum,
-    symplectic_spectrum_oracle,
     von_neumann_entropy,
 )
 from discordqkd import ChannelParams
@@ -31,6 +30,7 @@ from discordqkd.symplectic import I2, Z
 
 import highprec as hp
 import oracles
+from oracles import condition_on_homodyne, symplectic_spectrum_oracle
 
 VACUUM = TwoModeCovariance(I2, I2, np.zeros((2, 2)))
 
@@ -85,12 +85,12 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("v_e", [1.0, 2.0, 40.0, 1000.0])
     def test_epr_state_is_pure(self, v_e):
-        # Pure states sit on the degenerate ray nu_plus = nu_minus = 1, where
-        # the closed form amplifies rounding as sqrt(eps * V_E^2); the oracle
-        # path has no such cancellation.
+        # Pure states sit on the degenerate ray nu_plus = nu_minus = 1; the
+        # per-quadrature closed form keeps them there to the rounding of
+        # V_E - sqrt(V_E^2 - 1), about eps * V_E^2.
         spec = symplectic_spectrum(make_epr_state(EprStateParams(v_e=v_e)))
-        assert spec.nu_plus == pytest.approx(1.0, abs=2e-4)
-        assert spec.nu_minus == pytest.approx(1.0, abs=2e-4)
+        assert spec.nu_plus == pytest.approx(1.0, abs=1e-9)
+        assert spec.nu_minus == pytest.approx(1.0, abs=1e-9)
         oracle = symplectic_spectrum_oracle(make_epr_state(EprStateParams(v_e=v_e)))
         assert oracle.nu_plus == pytest.approx(1.0, abs=1e-9)
         assert oracle.nu_minus == pytest.approx(1.0, abs=1e-9)
@@ -101,10 +101,9 @@ class TestSpectrum:
         assert np.linalg.det(sigma.matrix) == pytest.approx(9.0, rel=1e-12)
         spec = symplectic_spectrum(sigma)
         oracle = symplectic_spectrum_oracle(sigma)
-        # The closed form cannot split a degenerate pair more finely than the
-        # discriminant's rounding noise allows; the oracle is exact here.
-        assert spec.nu_plus == pytest.approx(math.sqrt(3.0), abs=1e-7)
-        assert spec.nu_minus == pytest.approx(math.sqrt(3.0), abs=1e-7)
+        # The discriminant vanishes term by term on this degenerate pair.
+        assert spec.nu_plus == pytest.approx(math.sqrt(3.0), abs=1e-12)
+        assert spec.nu_minus == pytest.approx(math.sqrt(3.0), abs=1e-12)
         assert oracle.nu_plus == pytest.approx(math.sqrt(3.0), abs=1e-12)
         assert oracle.nu_minus == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
@@ -267,6 +266,17 @@ class TestOracleChecks:
         sigma = TwoModeCovariance.from_matrix(m @ m.T + 4.0 * np.eye(4))
         spec = symplectic_spectrum_oracle(sigma)
         assert spec.nu_plus >= spec.nu_minus > 0.0
+
+    def test_closed_form_rejects_xy_correlated_state(self):
+        # The same generic matrix correlates X with Y quadratures, which the
+        # per-quadrature closed form does not cover.
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(4, 4))
+        sigma = TwoModeCovariance.from_matrix(m @ m.T + 4.0 * np.eye(4))
+        with pytest.raises(UnsupportedState):
+            symplectic_spectrum(sigma)
+        with pytest.raises(UnsupportedState):
+            ppt_min_eigenvalue(sigma)
 
     def test_convergence_failure_exists(self):
         assert issubclass(ConvergenceFailure, Exception)
