@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
 from .errors import InvalidParameter
-from .symplectic import I2, Z, TwoModeCovariance
+from .states import DiscordStateParams, EprStateParams
+from .symplectic import I2, Z, TwoModeCovariance, _block_covariance
 
 
 @dataclass(frozen=True)
@@ -73,15 +75,19 @@ def excess_noise_epsilon(params: ChannelParams) -> float:
 
 def correlation_matrix(zeta: float, eta: float) -> np.ndarray:
     """Stack (zeta*I over eta*Z) describing two-mode/one-mode correlations."""
-    return np.vstack((zeta * I2, eta * Z))
+    return np.concatenate((zeta * I2, eta * Z))
 
 
-def apply_entangling_cloner(source: TwoModeCovariance, params: ChannelParams) -> ChannelOutput:
+def apply_entangling_cloner(
+    source: Union[TwoModeCovariance, DiscordStateParams, EprStateParams], params: ChannelParams
+) -> ChannelOutput:
     """Send mode 2 of a block-form source through the entangling cloner.
 
-    The correlations inherited by the attacker's reflected mode scale with
-    the source cross-correlation gamma: the sender's retained mode never
-    touches the channel, so it couples to the attacker only through gamma.
+    The source is a block-form covariance or the parameters of one; only its
+    (alpha, beta, gamma) enter, so both give the same output.  The
+    correlations inherited by the attacker's reflected mode scale with the
+    source cross-correlation gamma: the sender's retained mode never touches
+    the channel, so it couples to the attacker only through gamma.
     """
     alpha, beta, gamma = source.block_form()
     t, w = params.t, params.w
@@ -97,11 +103,9 @@ def apply_entangling_cloner(source: TwoModeCovariance, params: ChannelParams) ->
     zeta_prime = math.sqrt(t * (1.0 - t)) * (w - beta)
     eta_prime = rr * math.sqrt(w * w - 1.0)
 
-    sigma_ab = TwoModeCovariance(alpha * I2, v_b * I2, gamma_prime * Z)
-    sigma_e = TwoModeCovariance(e_v * I2, w * I2, phi * Z)
     return ChannelOutput(
-        sigma_ab=sigma_ab,
-        sigma_e=sigma_e,
+        sigma_ab=_block_covariance(alpha, v_b, gamma_prime),
+        sigma_e=_block_covariance(e_v, w, phi),
         d_dr=correlation_matrix(zeta, eta),
         d_rr=correlation_matrix(zeta_prime, eta_prime),
         v_a=alpha,

@@ -152,8 +152,7 @@ def secret_key_rate(config: ProtocolConfig) -> KeyRateReport:
     The report satisfies key_rate = i_ab - i_eve exactly; the value may be
     negative, meaning the attacker's information exceeds the parties'.
     """
-    source = make_source_state(config.source)
-    out = apply_entangling_cloner(source, config.channel)
+    out = apply_entangling_cloner(config.source, config.channel)
     i_ab, v_cond = _mutual_info(config.detection, out)
     s_e, s_cond = _eve_entropies(config, out)
     i_eve = s_e - s_cond

@@ -16,7 +16,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameter
-from .symplectic import I2, Z, TwoModeCovariance, _det, entropy_g, symplectic_spectrum
+from .symplectic import (
+    SymplecticSpectrum,
+    TwoModeCovariance,
+    _block_covariance,
+    _det,
+    _ppt_nu,
+    _spectrum,
+    entropy_g,
+    symplectic_spectrum,
+)
 
 #: Cross-correlation determinants smaller than this mean a product state.
 PRODUCT_STATE_TOL = 1e-12
@@ -37,6 +46,10 @@ class DiscordStateParams:
     def v_d(self) -> float:
         return self.v + 1.0
 
+    def block_form(self) -> tuple[float, float, float]:
+        """(alpha, beta, gamma) = (V + 1, V + 1, V)."""
+        return self.v + 1.0, self.v + 1.0, self.v
+
 
 @dataclass(frozen=True)
 class EprStateParams:
@@ -48,23 +61,52 @@ class EprStateParams:
         object.__setattr__(self, "v_e", float(self.v_e))
         if not math.isfinite(self.v_e) or self.v_e < 1.0:
             raise InvalidParameter(f"EPR variance must satisfy V_E >= 1, got {self.v_e!r}")
+        if not math.isfinite(self.v_e * self.v_e):
+            raise InvalidParameter(f"EPR variance must have a finite square, got {self.v_e!r}")
 
     @property
     def r(self) -> float:
         return 0.5 * math.acosh(self.v_e)
 
+    def block_form(self) -> tuple[float, float, float]:
+        """(alpha, beta, gamma) = (V_E, V_E, sqrt(V_E^2 - 1))."""
+        v_e = self.v_e
+        return v_e, v_e, math.sqrt(max(v_e * v_e - 1.0, 0.0))
+
 
 def make_discord_state(params: DiscordStateParams) -> TwoModeCovariance:
     """Covariance of the correlated-displacement state: ((V+1)I, (V+1)I, V*Z)."""
-    v = params.v
-    return TwoModeCovariance((v + 1.0) * I2, (v + 1.0) * I2, v * Z)
+    return _block_covariance(*params.block_form())
 
 
 def make_epr_state(params: EprStateParams) -> TwoModeCovariance:
     """Covariance of the two-mode squeezed vacuum: (V_E*I, V_E*I, sqrt(V_E^2-1)*Z)."""
-    v_e = params.v_e
-    gamma = math.sqrt(max(v_e * v_e - 1.0, 0.0))
-    return TwoModeCovariance(v_e * I2, v_e * I2, gamma * Z)
+    return _block_covariance(*params.block_form())
+
+
+def _discord_bits(alpha: float, beta: float, gamma: float, spectrum: SymplecticSpectrum) -> float:
+    """Discord in bits of the correlated state (alpha*I, beta*I, gamma*Z) with this spectrum."""
+    return (
+        entropy_g(beta)
+        - entropy_g(spectrum.nu_minus)
+        - entropy_g(spectrum.nu_plus)
+        + entropy_g((_det(alpha, beta, gamma) + alpha) / (beta + 1.0))
+    )
+
+
+def discord_and_ppt(alpha: float, beta: float, gamma: float) -> tuple[float, float]:
+    """(discord in bits, PPT eigenvalue) of the state (alpha*I, beta*I, gamma*Z).
+
+    The state's spectrum is computed once: it checks physicality and gives
+    the discord.  Both values equal gaussian_discord and ppt_min_eigenvalue
+    of the assembled covariance bit for bit.
+    """
+    spectrum = _spectrum(alpha, beta, gamma, alpha, beta, -gamma)
+    if gamma * gamma < PRODUCT_STATE_TOL:
+        discord = 0.0
+    else:
+        discord = _discord_bits(alpha, beta, gamma, spectrum)
+    return discord, _ppt_nu(alpha, beta, gamma, alpha, beta, -gamma)
 
 
 def gaussian_discord(sigma: TwoModeCovariance, *, log_base: float = 2.0) -> float:
@@ -83,13 +125,7 @@ def gaussian_discord(sigma: TwoModeCovariance, *, log_base: float = 2.0) -> floa
     alpha, beta, gamma = sigma.block_form()
     if gamma * gamma < PRODUCT_STATE_TOL:
         return 0.0
-    spectrum = symplectic_spectrum(sigma)
-    value = (
-        entropy_g(beta)
-        - entropy_g(spectrum.nu_minus)
-        - entropy_g(spectrum.nu_plus)
-        + entropy_g((_det(alpha, beta, gamma) + alpha) / (beta + 1.0))
-    )
+    value = _discord_bits(alpha, beta, gamma, symplectic_spectrum(sigma))
     if log_base != 2.0:
         value *= math.log(2.0) / math.log(log_base)
     return value

@@ -17,15 +17,8 @@ from typing import Callable, Optional, Sequence
 
 from .channel import ChannelParams
 from .errors import GaussianStateError, InvalidParameter, NoSignChange, UnknownFigure
-from .keyrate import (
-    Detection,
-    ProtocolConfig,
-    Reconciliation,
-    make_source_state,
-    secret_key_rate,
-)
-from .states import DiscordStateParams, EprStateParams, gaussian_discord
-from .symplectic import ppt_min_eigenvalue
+from .keyrate import Detection, ProtocolConfig, Reconciliation, secret_key_rate
+from .states import DiscordStateParams, EprStateParams, discord_and_ppt
 
 CSV_HEADER = "state,V,variance,T,W,detection,reconciliation,discord,ppt_nu,i_ab,i_eve,key_rate,error"
 
@@ -131,7 +124,6 @@ def evaluate_point(
     """
     variance, t, w = float(variance), float(t), float(w)
     source = _source_params(state, variance)
-    sigma = make_source_state(source)
     config = ProtocolConfig(
         detection=detection,
         reconciliation=reconciliation,
@@ -148,8 +140,7 @@ def evaluate_point(
         reconciliation=reconciliation.value,
     )
     try:
-        discord = gaussian_discord(sigma)
-        ppt = ppt_min_eigenvalue(sigma)
+        discord, ppt = discord_and_ppt(*source.block_form())
         report = secret_key_rate(config)
     except GaussianStateError as exc:
         return ResultRow(
@@ -259,6 +250,11 @@ _FIG5_PRESETS = {
 FIGURE_IDS = ("fig2",) + tuple(_FIG_RATE_PRESETS) + tuple(_FIG5_PRESETS)
 
 
+def _discord_state_invariants(vd: float) -> tuple[float, float]:
+    """(discord in bits, PPT eigenvalue) of the discord state of variance V_D."""
+    return discord_and_ppt(*DiscordStateParams(v=vd - 1.0).block_form())
+
+
 def figure_table(
     figure_id: str, *, w: float = 1.0, steps: int = FIGURE_STEPS, clamp_negative: bool = False
 ) -> tuple[list[str], list[list[float]]]:
@@ -273,8 +269,7 @@ def figure_table(
         header = ["vd", "discord", "ppt_nu"]
         table = []
         for vd in grid(1.0, 1000.0, steps):
-            sigma = make_source_state(DiscordStateParams(v=vd - 1.0))
-            table.append([vd, gaussian_discord(sigma), ppt_min_eigenvalue(sigma)])
+            table.append([vd, *_discord_state_invariants(vd)])
         return header, table
     if figure_id in _FIG_RATE_PRESETS:
         det, rec = _FIG_RATE_PRESETS[figure_id]
@@ -292,8 +287,7 @@ def figure_table(
         header = ["vd", "discord"] + [f"kr_t{t:g}" for t in t_values]
         table = []
         for vd in grid(1.0, 1000.0, steps):
-            sigma = make_source_state(DiscordStateParams(v=vd - 1.0))
-            row = [vd, gaussian_discord(sigma)]
+            row = [vd, _discord_state_invariants(vd)[0]]
             for t in t_values:
                 row.append(evaluate_point("discord", vd, t, w, det, rec,
                                           clamp_negative=clamp_negative).key_rate)
@@ -352,34 +346,36 @@ def threshold_on_discord(
     and converges once the discord values bounding the sign change are within
     xtol of each other; discord is monotone in the variance.
     """
-    def discord_of(vd: float) -> float:
-        return gaussian_discord(make_source_state(DiscordStateParams(v=vd - 1.0)))
-
-    def key_of(vd: float) -> float:
-        return evaluate_point("discord", vd, t, w, detection, reconciliation).key_rate
+    def row_of(vd: float) -> ResultRow:
+        return evaluate_point("discord", vd, t, w, detection, reconciliation)
 
     lo, hi = bracket
-    k_lo, k_hi = key_of(lo), key_of(hi)
+    row_lo, row_hi = row_of(lo), row_of(hi)
+    k_lo, k_hi = row_lo.key_rate, row_hi.key_rate
     # V_D = 1 is a product state whose key rate vanishes identically; step past
     # that degenerate zero instead of mistaking it for the threshold.
     step = max(1e-6, (hi - lo) * 1e-6)
     while k_lo == 0.0 and lo + step < hi:
         lo += step
         step *= 10.0
-        k_lo = key_of(lo)
+        row_lo = row_of(lo)
+        k_lo = row_lo.key_rate
     if k_hi == 0.0:
-        return discord_of(hi)
+        return row_hi.discord
     if k_lo == 0.0 or k_lo * k_hi > 0.0:
         raise NoSignChange(lo, hi, k_lo, k_hi)
+    # Each row carries its point's discord, so a moved end costs no extra work.
+    d_lo, d_hi = row_lo.discord, row_hi.discord
     for _ in range(200):
-        if abs(discord_of(hi) - discord_of(lo)) <= xtol:
+        if abs(d_hi - d_lo) <= xtol:
             break
         mid = 0.5 * (lo + hi)
-        k_mid = key_of(mid)
+        row_mid = row_of(mid)
+        k_mid = row_mid.key_rate
         if k_mid == 0.0:
-            return discord_of(mid)
+            return row_mid.discord
         if k_mid * k_lo < 0.0:
-            hi = mid
+            hi, d_hi = mid, row_mid.discord
         else:
-            lo, k_lo = mid, k_mid
-    return discord_of(0.5 * (lo + hi))
+            lo, k_lo, d_lo = mid, k_mid, row_mid.discord
+    return _discord_state_invariants(0.5 * (lo + hi))[0]

@@ -32,13 +32,17 @@ _BLOCK_FORM_TOL = 1e-10
 _LN2 = math.log(2.0)
 
 
-def _as_block(m, name: str) -> np.ndarray:
+def _as_block(m, name: str) -> tuple[np.ndarray, list[float]]:
+    """m as a new read-only 2x2 float array, and its entries in row order."""
     arr = np.array(m, dtype=float)
     if arr.shape != (2, 2):
         raise InvalidParameter(f"{name} block must be 2x2, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    entries = x00, x01, x10, x11 = arr.ravel().tolist()
+    if not (math.isfinite(x00) and math.isfinite(x01)
+            and math.isfinite(x10) and math.isfinite(x11)):
         raise InvalidParameter(f"{name} block contains non-finite entries")
-    return arr
+    arr.setflags(write=False)
+    return arr, entries
 
 
 @dataclass(frozen=True)
@@ -50,14 +54,13 @@ class TwoModeCovariance:
     c: np.ndarray
 
     def __post_init__(self):
-        a = _as_block(self.a, "A")
-        b = _as_block(self.b, "B")
-        c = _as_block(self.c, "C")
-        for name, blk in (("A", a), ("B", b)):
-            if abs(blk[0, 1] - blk[1, 0]) > _BLOCK_FORM_TOL * max(1.0, np.abs(blk).max()):
+        a, a_entries = _as_block(self.a, "A")
+        b, b_entries = _as_block(self.b, "B")
+        c, _ = _as_block(self.c, "C")
+        for name, (x00, x01, x10, x11) in (("A", a_entries), ("B", b_entries)):
+            scale = max(1.0, abs(x00), abs(x01), abs(x10), abs(x11))
+            if abs(x01 - x10) > _BLOCK_FORM_TOL * scale:
                 raise InvalidParameter(f"{name} block must be symmetric")
-        for arr in (a, b, c):
-            arr.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -79,28 +82,42 @@ class TwoModeCovariance:
             raise InvalidParameter("covariance matrix must be symmetric")
         return cls(arr[:2, :2], arr[2:, 2:], arr[:2, 2:])
 
+    def _entries(self) -> tuple[list[float], float]:
+        """The entries of A, B and C in row order, and the structure tests' tolerance.
+
+        The tolerance is relative to the largest entry.
+        """
+        entries = self.a.ravel().tolist() + self.b.ravel().tolist() + self.c.ravel().tolist()
+        return entries, _BLOCK_FORM_TOL * max(1.0, *map(abs, entries))
+
     def block_form(self) -> tuple[float, float, float]:
         """Return (alpha, beta, gamma) for a state of the form (aI, bI, cZ).
 
         Raises UnsupportedState when the blocks do not have that structure.
         """
-        scale = max(1.0, float(np.abs(self.matrix).max()))
-        tol = _BLOCK_FORM_TOL * scale
-        a, b, c = self.a, self.b, self.c
+        entries, tol = self._entries()
+        a00, a01, a10, a11, b00, b01, b10, b11, c00, c01, c10, c11 = entries
         ok = (
-            abs(a[0, 0] - a[1, 1]) <= tol
-            and abs(b[0, 0] - b[1, 1]) <= tol
-            and abs(c[0, 0] + c[1, 1]) <= tol
-            and abs(a[0, 1]) <= tol
-            and abs(b[0, 1]) <= tol
-            and abs(c[0, 1]) <= tol
-            and abs(c[1, 0]) <= tol
+            abs(a00 - a11) <= tol
+            and abs(b00 - b11) <= tol
+            and abs(c00 + c11) <= tol
+            and abs(a01) <= tol
+            and abs(b01) <= tol
+            and abs(c01) <= tol
+            and abs(c10) <= tol
         )
         if not ok:
             raise UnsupportedState(
                 "covariance is not of the (alpha*I, beta*I, gamma*Z) form"
             )
-        return float(a[0, 0]), float(b[0, 0]), float(c[0, 0])
+        return a00, b00, c00
+
+
+def _block_covariance(alpha: float, beta: float, gamma: float) -> TwoModeCovariance:
+    """The covariance (alpha*I, beta*I, gamma*Z)."""
+    return TwoModeCovariance(
+        [[alpha, 0.0], [0.0, alpha]], [[beta, 0.0], [0.0, beta]], [[gamma, 0.0], [0.0, -gamma]]
+    )
 
 
 @dataclass(frozen=True)
@@ -153,12 +170,34 @@ def _quadrature_entries(sigma: TwoModeCovariance) -> tuple[float, ...]:
 
     Raises UnsupportedState when sigma correlates X with Y quadratures.
     """
-    a, b, c = sigma.a, sigma.b, sigma.c
-    tol = _BLOCK_FORM_TOL * max(1.0, float(np.abs(sigma.matrix).max()))
-    if max(abs(a[0, 1]), abs(b[0, 1]), abs(c[0, 1]), abs(c[1, 0])) > tol:
+    entries, tol = sigma._entries()
+    ax, a01, _, ay, bx, b01, _, by, cx, c01, c10, cy = entries
+    if max(abs(a01), abs(b01), abs(c01), abs(c10)) > tol:
         raise UnsupportedState("covariance correlates X and Y quadratures")
-    return (float(a[0, 0]), float(b[0, 0]), float(c[0, 0]),
-            float(a[1, 1]), float(b[1, 1]), float(c[1, 1]))
+    return ax, bx, cx, ay, by, cy
+
+
+def _spectrum(
+    ax: float, bx: float, cx: float, ay: float, by: float, cy: float
+) -> SymplecticSpectrum:
+    """Symplectic spectrum of a state given by its X and Y blocks.
+
+    Raises NonPhysicalState when nu_minus falls below the vacuum bound.
+    """
+    hi, lo = _spectrum_squares(ax, bx, cx, ay, by, cy)
+    nu_minus = math.sqrt(lo)
+    if nu_minus < 1.0 - PHYSICAL_TOL:
+        raise NonPhysicalState(f"smallest symplectic eigenvalue {nu_minus!r} is below 1")
+    return SymplecticSpectrum(nu_plus=math.sqrt(hi), nu_minus=nu_minus)
+
+
+def _ppt_nu(ax: float, bx: float, cx: float, ay: float, by: float, cy: float) -> float:
+    """Smallest symplectic eigenvalue of the partial transpose of a state.
+
+    The partial transpose negates the Y-Y cross-correlation.  The caller
+    checks that the state itself is physical.
+    """
+    return math.sqrt(_spectrum_squares(ax, bx, cx, ay, by, -cy)[1])
 
 
 def symplectic_spectrum(sigma: TwoModeCovariance) -> SymplecticSpectrum:
@@ -169,11 +208,7 @@ def symplectic_spectrum(sigma: TwoModeCovariance) -> SymplecticSpectrum:
     Raises NonPhysicalState when the smaller eigenvalue falls below the
     vacuum bound.
     """
-    hi, lo = _spectrum_squares(*_quadrature_entries(sigma))
-    nu_minus = math.sqrt(lo)
-    if nu_minus < 1.0 - PHYSICAL_TOL:
-        raise NonPhysicalState(f"smallest symplectic eigenvalue {nu_minus!r} is below 1")
-    return SymplecticSpectrum(nu_plus=math.sqrt(hi), nu_minus=nu_minus)
+    return _spectrum(*_quadrature_entries(sigma))
 
 
 def partial_transpose(sigma: TwoModeCovariance) -> TwoModeCovariance:
@@ -185,12 +220,11 @@ def ppt_min_eigenvalue(sigma: TwoModeCovariance) -> float:
     """Smallest symplectic eigenvalue of the partially transposed covariance.
 
     A two-mode Gaussian state is entangled exactly when this value drops
-    below 1.  The input itself must be physical and free of X-Y correlations;
-    the partial transpose negates the Y-Y cross-correlation.
+    below 1.  The input itself must be physical and free of X-Y correlations.
     """
-    symplectic_spectrum(sigma)
-    ax, bx, cx, ay, by, cy = _quadrature_entries(sigma)
-    return math.sqrt(_spectrum_squares(ax, bx, cx, ay, by, -cy)[1])
+    entries = _quadrature_entries(sigma)
+    _spectrum(*entries)
+    return _ppt_nu(*entries)
 
 
 def entropy_g(nu: float) -> float:

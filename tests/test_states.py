@@ -71,6 +71,11 @@ class TestConstruction:
     def test_epr_params_domain(self):
         with pytest.raises(InvalidParameter):
             EprStateParams(v_e=0.99)
+        # sqrt(V_E^2 - 1) would overflow to inf.
+        with pytest.raises(InvalidParameter, match="finite square"):
+            EprStateParams(v_e=1e155)
+        with pytest.raises(InvalidParameter, match="finite square"):
+            evaluate_point("epr", 1e300, 0.5, 1.0, Detection.HOMODYNE, Reconciliation.DIRECT)
         assert EprStateParams(v_e=1.0).r == 0.0
         assert EprStateParams(v_e=math.cosh(2.0)).r == pytest.approx(1.0, rel=1e-12)
 
