@@ -17,12 +17,10 @@ sign change in a threshold bracket.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Optional
 
-from .channel import ChannelParams
 from .errors import GaussianStateError, InvalidParameter, NonPhysicalState, NoSignChange
 from .keyrate import Detection, Reconciliation, make_source_state
 from .states import gaussian_discord
@@ -33,6 +31,7 @@ from .sweeps import (
     SweepSpec,
     SWEEPABLE,
     _source_params,
+    _table_to_json,
     evaluate_point,
     figure_table,
     rows_to_csv,
@@ -45,21 +44,9 @@ from .sweeps import (
 )
 from .symplectic import ppt_min_eigenvalue
 
-_CONFIG_KEYS = {
-    "state": str,
-    "vd": float,
-    "ve": float,
-    "t": float,
-    "w": float,
-    "det": str,
-    "rec": str,
-    "sweep": str,
-    "range": str,
-    "steps": int,
-    "format": str,
-    "out": str,
-    "units": str,
-}
+#: Flags a ``--config`` line may set, each written ``key=value`` without dashes.
+_CONFIG_KEYS = ("state", "vd", "ve", "t", "w", "det", "rec", "sweep", "range", "steps",
+                "format", "out", "units")
 
 
 def _add_common(parser: argparse.ArgumentParser, *, protocol: bool = True) -> None:
@@ -69,9 +56,9 @@ def _add_common(parser: argparse.ArgumentParser, *, protocol: bool = True) -> No
                         help="discord-state diagonal variance V_D = V + 1 (>= 1)")
     parser.add_argument("--ve", type=float, default=None,
                         help="EPR state variance V_E (>= 1)")
-    parser.add_argument("--t", type=float, default=None, help="channel transmission in [0, 1]")
-    parser.add_argument("--w", type=float, default=None, help="cloner variance W (>= 1)")
     if protocol:
+        parser.add_argument("--t", type=float, default=None, help="channel transmission in [0, 1]")
+        parser.add_argument("--w", type=float, default=None, help="cloner variance W (>= 1)")
         parser.add_argument("--det", choices=["hom", "het"], default=None, help="detection")
         parser.add_argument("--rec", choices=["dr", "rr"], default=None, help="reconciliation")
     parser.add_argument("--config", default=None,
@@ -103,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sweep", choices=list(SWEEPABLE), default=None, required=False,
                          help="parameter to sweep")
     p_sweep.add_argument("--range", default=None, help="sweep range as lo:hi")
-    p_sweep.add_argument("--steps", type=int, default=None, help="number of grid points (>= 2)")
+    p_sweep.add_argument("--steps", type=int, default=FIGURE_STEPS,
+                         help="number of grid points (>= 2)")
     _add_output(p_sweep)
 
     p_fig = sub.add_parser("figure", help="write a preset figure data file")
@@ -130,26 +118,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    with open(path) as handle:
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The ``--key=value`` flags the ``--config`` file gives the parsed subcommand.
+
+    A key the subcommand does not take is skipped; of repeated keys the
+    first line counts.
+    """
+    flags: dict[str, str] = {}
+    with open(args.config) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise InvalidParameter(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+                raise InvalidParameter(f"{args.config}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if key not in _CONFIG_KEYS:
-                raise InvalidParameter(f"{path}:{lineno}: unknown config key {key!r}")
-            if hasattr(args, key) and getattr(args, key) is None:
-                try:
-                    setattr(args, key, _CONFIG_KEYS[key](value))
-                except ValueError as exc:
-                    raise InvalidParameter(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+                raise InvalidParameter(f"{args.config}:{lineno}: unknown config key {key!r}")
+            if hasattr(args, key):
+                flags.setdefault(key, f"--{key}={value}")
+    return list(flags.values())
 
 
 def _resolve_state(args: argparse.Namespace) -> tuple[str, float]:
@@ -163,8 +152,6 @@ def _resolve_state(args: argparse.Namespace) -> tuple[str, float]:
             raise InvalidParameter("--ve is only valid with --state epr")
         if args.vd is None:
             raise InvalidParameter("--vd is required for the discord state")
-        if args.vd < 1.0:
-            raise InvalidParameter(f"--vd must be >= 1 (V = V_D - 1 >= 0), got {args.vd!r}")
         return state, args.vd
     if args.vd is not None:
         raise InvalidParameter("--vd is only valid with --state discord")
@@ -222,34 +209,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.sweep is None:
-        raise InvalidParameter("--sweep is required")
-    if args.range is None:
-        raise InvalidParameter("--range is required")
+    _require(args, "sweep", "range")
     lo, hi = _parse_range(args.range)
-    steps = args.steps if args.steps is not None else FIGURE_STEPS
-    swept = args.sweep
-    state = args.state
-    if state is None:
-        if swept in ("vd", "ve"):
-            state = "discord" if swept == "vd" else "epr"
-        else:
-            raise InvalidParameter("--state is required when sweeping t or w")
-    variance: Optional[float] = None
-    if swept in ("vd", "ve"):
-        if args.vd is not None or args.ve is not None:
-            raise InvalidParameter(f"the swept parameter {swept!r} must not also be fixed")
+    if args.sweep in ("vd", "ve"):
+        state = args.state or ("discord" if args.sweep == "vd" else "epr")
+        variance = args.vd if args.vd is not None else args.ve
+    elif args.state is None:
+        raise InvalidParameter("--state is required when sweeping t or w")
     else:
-        _, variance = _resolve_state(args)
-    for name in ("t", "w"):
-        if name == swept:
-            if getattr(args, name) is not None:
-                raise InvalidParameter(f"the swept parameter {swept!r} must not also be fixed")
-        elif getattr(args, name) is None:
-            raise InvalidParameter(f"--{name} is required")
+        state, variance = _resolve_state(args)
     dets, recs = _protocols(args)
     spec = SweepSpec(
-        parameter=swept, lo=lo, hi=hi, steps=steps, state=state,
+        parameter=args.sweep, lo=lo, hi=hi, steps=args.steps, state=state,
         variance=variance, t=args.t, w=args.w,
         detections=dets, reconciliations=recs,
         clamp_negative=args.clamp_negative,
@@ -259,37 +230,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    w = args.w if args.w is not None else 1.0
-    steps = args.steps if args.steps is not None else FIGURE_STEPS
-    ChannelParams(t=0.5, w=w)  # validate the override early
-    header, table = figure_table(
-        args.figure_id, w=w, steps=steps, clamp_negative=args.clamp_negative
-    )
-    if args.format == "json":
-        text = json.dumps([dict(zip(header, row)) for row in table], indent=2) + "\n"
-    else:
-        text = table_to_csv(header, table)
-    _emit(text, args.out)
+    overrides = {name: getattr(args, name) for name in ("w", "steps") if getattr(args, name) is not None}
+    header, table = figure_table(args.figure_id, clamp_negative=args.clamp_negative, **overrides)
+    write = _table_to_json if args.format == "json" else table_to_csv
+    _emit(write(header, table), args.out)
     return 0
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    if args.sweep is None:
-        raise InvalidParameter("--sweep is required")
-    _require(args, "w", "det", "rec")
+    _require(args, "sweep", "w", "det", "rec")
     det, rec = Detection(args.det), Reconciliation(args.rec)
+    bracket = {"bracket": _parse_range(args.range)} if args.range else {}
     if args.sweep == "t":
         state, variance = _resolve_state(args)
-        bracket = _parse_range(args.range) if args.range else (0.01, 0.99)
-        value = threshold_on_t(state, variance, args.w, det, rec, bracket=bracket)
+        value = threshold_on_t(state, variance, args.w, det, rec, **bracket)
     else:
         _require(args, "t")
         if args.ve is not None or (args.state not in (None, "discord")):
             raise InvalidParameter("discord thresholds are defined for the discord state only")
         if args.vd is not None:
             raise InvalidParameter("the swept parameter 'discord' must not also be fixed")
-        bracket = _parse_range(args.range) if args.range else (1.0, 1000.0)
-        value = threshold_on_discord(args.t, args.w, det, rec, bracket=bracket)
+        value = threshold_on_discord(args.t, args.w, det, rec, **bracket)
     sys.stdout.write(repr(value) + "\n")
     return 0
 
@@ -321,13 +282,16 @@ _COMMANDS = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # Config lines go first, so a flag on the command line wins.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        _apply_config_file(args)
-        return _COMMANDS[args.command](args)
     except NoSignChange as exc:
         print(
             f"error: no sign change: key_rate({exc.lo!r}) = {exc.f_lo!r}, "

@@ -40,7 +40,7 @@ class DiscordStateParams:
     def __post_init__(self):
         object.__setattr__(self, "v", float(self.v))
         if not math.isfinite(self.v) or self.v < 0.0:
-            raise InvalidParameter(f"displacement noise must satisfy V >= 0, got {self.v!r}")
+            raise InvalidParameter(f"displacement noise must satisfy V = V_D - 1 >= 0, got {self.v!r}")
 
     @property
     def v_d(self) -> float:

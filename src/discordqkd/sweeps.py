@@ -85,6 +85,16 @@ class SweepSpec:
             raise InvalidParameter(f"sweep needs at least 2 steps, got {self.steps!r}")
         if not self.detections or not self.reconciliations:
             raise InvalidParameter("at least one detection and one reconciliation required")
+        for name in ("variance", "t", "w"):
+            if name == self._swept_field and getattr(self, name) is not None:
+                raise InvalidParameter(f"the swept parameter {self.parameter!r} must not also be fixed")
+            if name != self._swept_field and getattr(self, name) is None:
+                raise InvalidParameter(f"sweep is missing a fixed value for {name!r}")
+
+    @property
+    def _swept_field(self) -> str:
+        """The field the grid replaces: ``variance`` for vd/ve, else t or w."""
+        return "variance" if self.parameter in ("vd", "ve") else self.parameter
 
 
 def grid(lo: float, hi: float, steps: int) -> list[float]:
@@ -99,8 +109,6 @@ def grid(lo: float, hi: float, steps: int) -> list[float]:
 
 def _source_params(state: str, variance: float):
     if state == "discord":
-        if variance < 1.0:
-            raise InvalidParameter(f"discord-state variance must satisfy V_D >= 1, got {variance!r}")
         return DiscordStateParams(v=variance - 1.0)
     if state == "epr":
         return EprStateParams(v_e=variance)
@@ -164,14 +172,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate the spec's grid, ascending in the swept parameter."""
     rows = []
     for value in grid(spec.lo, spec.hi, spec.steps):
-        fixed = {"variance": spec.variance, "t": spec.t, "w": spec.w}
-        if spec.parameter in ("vd", "ve"):
-            fixed["variance"] = value
-        else:
-            fixed[spec.parameter] = value
-        for missing in ("variance", "t", "w"):
-            if fixed[missing] is None:
-                raise InvalidParameter(f"sweep is missing a fixed value for {missing!r}")
+        fixed = {"variance": spec.variance, "t": spec.t, "w": spec.w, spec._swept_field: value}
         for det in spec.detections:
             for rec in spec.reconciliations:
                 rows.append(
@@ -198,9 +199,12 @@ def rows_to_csv(rows: Sequence[ResultRow]) -> str:
 
 
 def rows_to_json(rows: Sequence[ResultRow]) -> str:
-    names = [f.name for f in fields(ResultRow)]
-    payload = [dict(zip(names, row.as_list())) for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    return _table_to_json([f.name for f in fields(ResultRow)], [row.as_list() for row in rows])
+
+
+def _table_to_json(header: Sequence[str], table: Sequence[Sequence]) -> str:
+    """A JSON list with one object per row, keyed by the header."""
+    return json.dumps([dict(zip(header, row)) for row in table], indent=2) + "\n"
 
 
 def table_to_csv(header: Sequence[str], table: Sequence[Sequence[float]]) -> str:
@@ -263,8 +267,9 @@ def figure_table(
     fig2 tabulates discord and the partial-transpose eigenvalue against the
     state variance; fig3/fig4 tabulate the three key-rate curves against T;
     fig5 tabulates key rates at fixed transmissions against the per-point
-    discord value.
+    discord value.  W is validated for every preset, fig2 included.
     """
+    ChannelParams(t=1.0, w=w)
     if figure_id == "fig2":
         header = ["vd", "discord", "ppt_nu"]
         table = []

@@ -7,7 +7,7 @@ import stat
 
 import pytest
 
-from discordqkd import CSV_HEADER
+from discordqkd import CSV_HEADER, figure_table
 from discordqkd.cli import main
 
 import highprec as hp
@@ -185,6 +185,12 @@ class TestFigure:
         assert code == 0
         assert out.split("\n")[0] == "vd,discord,kr_t0.75,kr_t0.8,kr_t0.9,kr_t0.3"
 
+    def test_json_objects_keyed_by_header(self, capsys):
+        code, out, _ = run_cli(capsys, "figure", "fig5b", "--steps", "3", "--format", "json")
+        assert code == 0
+        header, table = figure_table("fig5b", steps=3)
+        assert out == json.dumps([dict(zip(header, row)) for row in table], indent=2) + "\n"
+
     def test_unknown_figure_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "figure", "fig7")
         assert code == 2
@@ -243,6 +249,23 @@ class TestStateQueries:
         assert code == 0
         assert float(out.strip()) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("argv", [
+        ("discord", "--vd", "40", "--w", "0.1", "--t", "7"),
+        ("ppt", "--ve", "40", "--t", "-3"),
+    ])
+    def test_channel_flags_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command", ["discord", "ppt"])
+    def test_help_lists_only_source_flags(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert "--vd" in out
+        assert "--t " not in out and "--w " not in out
+
 
 class TestConfigFile:
     def test_defaults_from_file(self, capsys, tmp_path):
@@ -272,6 +295,102 @@ class TestConfigFile:
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "eval", "--config", str(tmp_path / "nope.cfg"))
         assert code == 4
+
+    _EVAL = ("--vd", "40", "--t", "0.9", "--w", "1", "--det", "het", "--rec", "rr")
+    _SWEEP = ("--sweep", "t", "--range", "0:1", "--steps", "3", "--state", "discord",
+              "--vd", "40", "--w", "1")
+
+    @staticmethod
+    def _without(argv, key):
+        """argv with the flag --key and its value removed."""
+        i = argv.index(f"--{key}")
+        return argv[:i] + argv[i + 2:]
+
+    # (key, value, subcommand, argv): argv holds the subcommand's flags with
+    # the key at some other value, which the test drops; "-0.0" checks that a
+    # leading dash in a config value is read as the value.
+    KEY_CASES = [
+        ("state", "discord", "eval", _EVAL + ("--state", "epr")),
+        ("vd", "12.5", "eval", _EVAL),
+        ("ve", "12.5", "eval", ("--ve", "3", "--t", "0.9", "--w", "1", "--det", "hom", "--rec", "dr")),
+        ("t", "-0.0", "eval", _EVAL),
+        ("w", "1.3", "eval", _EVAL),
+        ("det", "hom", "eval", _EVAL),
+        ("rec", "dr", "eval", _EVAL),
+        ("sweep", "w", "sweep", ("--sweep", "t", "--range", "1:2", "--steps", "3",
+                                 "--state", "discord", "--vd", "40", "--t", "0.9")),
+        ("range", "0.2:0.8", "sweep", _SWEEP),
+        ("steps", "4", "sweep", _SWEEP),
+        ("format", "json", "eval", _EVAL + ("--format", "csv")),
+        ("units", "nats", "discord", ("--vd", "2", "--units", "bits")),
+    ]
+
+    @pytest.mark.parametrize("key,value,command,argv", KEY_CASES, ids=[c[0] for c in KEY_CASES])
+    def test_config_line_matches_flag(self, capsys, tmp_path, key, value, command, argv):
+        base = self._without(argv, key)
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        flag = run_cli(capsys, command, *base, f"--{key}", value)
+        config = run_cli(capsys, command, *base, "--config", str(cfg))
+        assert flag[0] == 0
+        assert config == flag
+
+    def test_config_out_matches_flag(self, capsys, tmp_path):
+        by_flag, by_config = tmp_path / "flag.csv", tmp_path / "config.csv"
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"out={by_config}\n")
+        assert run_cli(capsys, "eval", *self._EVAL, "--out", str(by_flag)) == (0, "", "")
+        assert run_cli(capsys, "eval", *self._EVAL, "--config", str(cfg)) == (0, "", "")
+        assert by_config.read_bytes() == by_flag.read_bytes()
+
+    def test_every_config_key_is_covered(self):
+        from discordqkd.cli import _CONFIG_KEYS
+
+        assert sorted(_CONFIG_KEYS) == sorted([c[0] for c in self.KEY_CASES] + ["out"])
+
+    @pytest.mark.parametrize("line,command,argv", [
+        ("det=xyz", "eval", ()),
+        ("format=xml", "eval", _EVAL),
+        ("units=furlongs", "discord", ("--vd", "2")),
+        ("steps=abc", "sweep", _SWEEP),
+    ])
+    def test_bad_value_is_usage_error(self, capsys, tmp_path, line, command, argv):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, command, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"--{line.split('=')[0]}" in err
+        assert "Traceback" not in err
+
+    def test_bad_value_rejected_even_when_flag_overrides(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("det=xyz\n")
+        code, _, err = run_cli(capsys, "eval", *self._EVAL, "--config", str(cfg))
+        assert code == 2
+        assert "--det" in err
+
+    @pytest.mark.parametrize("line,command,argv", [
+        ("units=nats", "eval", _EVAL),
+        ("t=0.9", "discord", ("--vd", "2")),
+        ("w=7", "ppt", ("--ve", "40")),
+        ("range=0:1", "figure", ("fig2", "--steps", "3")),
+        ("units=furlongs", "eval", _EVAL),
+    ])
+    def test_key_of_other_subcommand_ignored(self, capsys, tmp_path, line, command, argv):
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(line + "\n")
+        plain = run_cli(capsys, command, *argv)
+        assert plain[0] == 0
+        assert run_cli(capsys, command, *argv, "--config", str(cfg)) == plain
+
+    def test_first_of_repeated_keys_counts(self, capsys, tmp_path):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("t=0.5\nt=0.9\n")
+        base = self._without(self._EVAL, "t")
+        assert run_cli(capsys, "eval", *base, "--config", str(cfg)) == run_cli(
+            capsys, "eval", *base, "--t", "0.5"
+        )
 
 
 class TestRowErrors:

@@ -120,6 +120,26 @@ class TestRunSweep:
         with pytest.raises(InvalidParameter):
             run_sweep(_spec(w=None))
 
+    @pytest.mark.parametrize("overrides", [
+        dict(t=0.5),
+        dict(parameter="w", t=0.5),
+        dict(parameter="vd", variance=40.0, t=0.9),
+        dict(parameter="ve", state="epr", variance=40.0, t=0.9),
+    ])
+    def test_swept_parameter_must_not_be_fixed(self, overrides):
+        with pytest.raises(InvalidParameter, match="must not also be fixed"):
+            _spec(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(w=None),
+        dict(variance=None),
+        dict(parameter="w", w=None),
+        dict(parameter="vd", variance=None),
+    ])
+    def test_missing_fixed_value_rejected_when_built(self, overrides):
+        with pytest.raises(InvalidParameter, match="missing a fixed value"):
+            _spec(**overrides)
+
     def test_deterministic_output(self):
         spec = _spec(steps=7)
         assert rows_to_csv(run_sweep(spec)) == rows_to_csv(run_sweep(spec))
@@ -227,6 +247,12 @@ class TestFigures:
     def test_unknown_figure(self):
         with pytest.raises(UnknownFigure):
             figure_table("fig99")
+
+    @pytest.mark.parametrize("figure_id", ["fig2", "fig3b", "fig5a"])
+    @pytest.mark.parametrize("w", [0.5, math.nan])
+    def test_w_validated_for_every_preset(self, figure_id, w):
+        with pytest.raises(InvalidParameter, match="W >= 1"):
+            figure_table(figure_id, w=w, steps=3)
 
     def test_fig2_columns(self):
         header, table = figure_table("fig2", steps=21)
