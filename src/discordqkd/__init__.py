@@ -6,18 +6,8 @@ variants (homodyne/heterodyne x direct/reverse reconciliation) against a
 collective entangling-cloner attack.  All variances are in shot-noise units.
 """
 
-from .channel import (
-    ChannelOutput,
-    ChannelParams,
-    apply_entangling_cloner,
-    correlation_matrix,
-    excess_noise_delta,
-    excess_noise_epsilon,
-    heterodyne_measured_variance,
-)
+from .channel import ChannelOutput, ChannelParams, apply_entangling_cloner
 from .errors import (
-    ConvergenceFailure,
-    DegenerateInput,
     DegenerateMatrix,
     DomainError,
     GaussianStateError,
@@ -32,11 +22,7 @@ from .keyrate import (
     KeyRateReport,
     ProtocolConfig,
     Reconciliation,
-    conditional_variance,
-    eve_information,
     make_source_state,
-    mutual_info_heterodyne,
-    mutual_info_homodyne,
     secret_key_rate,
 )
 from .states import (
@@ -61,12 +47,9 @@ from .sweeps import (
     threshold_on_t,
 )
 from .symplectic import (
-    I2,
     SymplecticSpectrum,
     TwoModeCovariance,
-    Z,
     entropy_g,
-    partial_transpose,
     ppt_min_eigenvalue,
     symplectic_spectrum,
     von_neumann_entropy,
@@ -74,22 +57,22 @@ from .symplectic import (
 
 __version__ = "0.1.0"
 
+# The user-facing API.  Helpers stay importable from their submodules: the
+# matrix constants and partial_transpose (symplectic), correlation_matrix and
+# heterodyne_measured_variance (channel), conditional_variance (keyrate), and
+# the errors only the reference implementations under tests/ raise (errors).
 __all__ = [
-    "ChannelOutput", "ChannelParams", "apply_entangling_cloner", "correlation_matrix",
-    "excess_noise_delta", "excess_noise_epsilon", "heterodyne_measured_variance",
-    "ConvergenceFailure", "DegenerateInput", "DegenerateMatrix", "DomainError",
-    "GaussianStateError", "InvalidParameter", "NonPhysicalState", "NoSignChange",
-    "UnknownFigure", "UnsupportedState",
+    "ChannelOutput", "ChannelParams", "apply_entangling_cloner",
+    "DegenerateMatrix", "DomainError", "GaussianStateError", "InvalidParameter",
+    "NonPhysicalState", "NoSignChange", "UnknownFigure", "UnsupportedState",
     "Detection", "KeyRateReport", "ProtocolConfig", "Reconciliation",
-    "conditional_variance", "eve_information", "make_source_state",
-    "mutual_info_heterodyne", "mutual_info_homodyne", "secret_key_rate",
+    "make_source_state", "secret_key_rate",
     "DiscordStateParams", "EprStateParams", "gaussian_discord",
     "make_discord_state", "make_epr_state",
     "CSV_HEADER", "FIGURE_IDS", "ResultRow", "SweepSpec", "evaluate_point",
     "figure_table", "grid", "rows_to_csv", "rows_to_json", "run_sweep",
     "threshold_on_discord", "threshold_on_t",
-    "I2", "SymplecticSpectrum", "TwoModeCovariance", "Z", "entropy_g",
-    "partial_transpose", "ppt_min_eigenvalue", "symplectic_spectrum",
-    "von_neumann_entropy",
+    "SymplecticSpectrum", "TwoModeCovariance", "entropy_g",
+    "ppt_min_eigenvalue", "symplectic_spectrum", "von_neumann_entropy",
     "__version__",
 ]

@@ -60,19 +60,6 @@ class ChannelOutput:
     eta_prime: float
 
 
-def excess_noise_delta(params: ChannelParams) -> float:
-    """Excess noise above vacuum at the channel output: W - 1."""
-    return params.w - 1.0
-
-
-def excess_noise_epsilon(params: ChannelParams) -> float:
-    """Excess noise referred to the channel input: (W - 1)(1 - T)/T.
-
-    Raises ZeroDivisionError for T = 0, where the referred noise diverges.
-    """
-    return (params.w - 1.0) * (1.0 - params.t) / params.t
-
-
 def correlation_matrix(zeta: float, eta: float) -> np.ndarray:
     """Stack (zeta*I over eta*Z) describing two-mode/one-mode correlations."""
     return np.concatenate((zeta * I2, eta * Z))

@@ -141,23 +141,34 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     return list(flags.values())
 
 
-def _resolve_state(args: argparse.Namespace) -> tuple[str, float]:
+#: Each state kind's variance flag, and the other kind with its flag.
+_STATE_FLAGS = {"discord": ("vd", "epr", "ve"), "epr": ("ve", "discord", "vd")}
+
+
+def _resolve_state(
+    args: argparse.Namespace, swept: Optional[str] = None
+) -> tuple[str, Optional[float]]:
+    """The source kind and its fixed variance from --state, --vd and --ve.
+
+    The kind is --state, else the kind whose variance is ``swept`` ("vd" or
+    "ve"), else whichever of --vd/--ve is given.  A swept variance needs no
+    fixed value, so its variance may come back None.
+    """
     state = args.state
-    if state is None:
+    if state is None and swept in ("vd", "ve"):
+        state = "discord" if swept == "vd" else "epr"
+    elif state is None:
         if (args.vd is None) == (args.ve is None):
             raise InvalidParameter("specify --state, or exactly one of --vd/--ve")
         state = "discord" if args.vd is not None else "epr"
-    if state == "discord":
-        if args.ve is not None:
-            raise InvalidParameter("--ve is only valid with --state epr")
-        if args.vd is None:
-            raise InvalidParameter("--vd is required for the discord state")
-        return state, args.vd
-    if args.vd is not None:
-        raise InvalidParameter("--vd is only valid with --state discord")
-    if args.ve is None:
-        raise InvalidParameter("--ve is required for the EPR state")
-    return state, args.ve
+    flag, other_state, other_flag = _STATE_FLAGS[state]
+    if getattr(args, other_flag) is not None:
+        raise InvalidParameter(f"--{other_flag} is only valid with --state {other_state}")
+    variance = getattr(args, flag)
+    if variance is None and swept not in ("vd", "ve"):
+        kind = "EPR" if state == "epr" else state
+        raise InvalidParameter(f"--{flag} is required for the {kind} state")
+    return state, variance
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -211,13 +222,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _require(args, "sweep", "range")
     lo, hi = _parse_range(args.range)
-    if args.sweep in ("vd", "ve"):
-        state = args.state or ("discord" if args.sweep == "vd" else "epr")
-        variance = args.vd if args.vd is not None else args.ve
-    elif args.state is None:
-        raise InvalidParameter("--state is required when sweeping t or w")
-    else:
-        state, variance = _resolve_state(args)
+    state, variance = _resolve_state(args, swept=args.sweep)
     dets, recs = _protocols(args)
     spec = SweepSpec(
         parameter=args.sweep, lo=lo, hi=hi, steps=args.steps, state=state,
@@ -246,9 +251,11 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         value = threshold_on_t(state, variance, args.w, det, rec, **bracket)
     else:
         _require(args, "t")
-        if args.ve is not None or (args.state not in (None, "discord")):
+        # The search runs over the discord state's variance.
+        state, variance = _resolve_state(args, swept="vd")
+        if state != "discord":
             raise InvalidParameter("discord thresholds are defined for the discord state only")
-        if args.vd is not None:
+        if variance is not None:
             raise InvalidParameter("the swept parameter 'discord' must not also be fixed")
         value = threshold_on_discord(args.t, args.w, det, rec, **bracket)
     sys.stdout.write(repr(value) + "\n")

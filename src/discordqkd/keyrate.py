@@ -80,7 +80,12 @@ def conditional_variance(v_x: float, cov_xy: float, v_y: float) -> float:
 
 
 def _mutual_info(detection: Detection, out: ChannelOutput) -> tuple[float, float]:
-    """(I(A:B) in bits, V(B|A)) for the chosen detection on both sides."""
+    """(I(A:B) in bits, V(B|A)) for the chosen detection on both sides.
+
+    Homodyne gives (1/2) log2[V_B / V(B|A)], heterodyne log2[V_B^M / V(B^M|A^M)]:
+    each heterodyne detector adds a vacuum unit and halves the variance, so
+    the measured-variance map v -> (v+1)/2 enters on both sides.
+    """
     if detection is Detection.HOMODYNE:
         v_cond = conditional_variance(out.v_b, out.gamma_prime, out.v_a)
         if v_cond <= 0.0:
@@ -93,20 +98,6 @@ def _mutual_info(detection: Detection, out: ChannelOutput) -> tuple[float, float
     if v_cond_m <= 0.0:
         raise ZeroDivisionError("conditional measured variance vanished")
     return math.log2(v_bm / v_cond_m), v_cond
-
-
-def mutual_info_homodyne(out: ChannelOutput) -> float:
-    """(1/2) log2[V_B / V(B|A)] for single-quadrature detection on both sides."""
-    return _mutual_info(Detection.HOMODYNE, out)[0]
-
-
-def mutual_info_heterodyne(out: ChannelOutput) -> float:
-    """log2[V_B^M / V(B^M|A^M)] for dual-quadrature detection on both sides.
-
-    Each heterodyne detector adds a vacuum unit and halves the variance, so
-    the measured-variance map v -> (v+1)/2 enters on both sides.
-    """
-    return _mutual_info(Detection.HETERODYNE, out)[0]
 
 
 def _entropy(ax: float, bx: float, cx: float, ay: float, by: float, cy: float) -> float:
@@ -138,12 +129,6 @@ def _eve_entropies(config: ProtocolConfig, out: ChannelOutput) -> tuple[float, f
     if config.detection is Detection.HOMODYNE:
         return s_e, _entropy(xx, ww, xy, e_v, w, -phi)
     return s_e, _entropy(xx, ww, xy, xx, ww, -xy)
-
-
-def eve_information(config: ProtocolConfig, out: ChannelOutput) -> float:
-    """Holevo-type attacker information S(E) - S(E|.) for the chosen protocol."""
-    s_e, s_cond = _eve_entropies(config, out)
-    return s_e - s_cond
 
 
 def secret_key_rate(config: ProtocolConfig) -> KeyRateReport:

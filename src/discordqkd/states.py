@@ -17,14 +17,12 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameter
 from .symplectic import (
-    SymplecticSpectrum,
     TwoModeCovariance,
     _block_covariance,
     _det,
     _ppt_nu,
     _spectrum,
     entropy_g,
-    symplectic_spectrum,
 )
 
 #: Cross-correlation determinants smaller than this mean a product state.
@@ -84,48 +82,41 @@ def make_epr_state(params: EprStateParams) -> TwoModeCovariance:
     return _block_covariance(*params.block_form())
 
 
-def _discord_bits(alpha: float, beta: float, gamma: float, spectrum: SymplecticSpectrum) -> float:
-    """Discord in bits of the correlated state (alpha*I, beta*I, gamma*Z) with this spectrum."""
-    return (
-        entropy_g(beta)
-        - entropy_g(spectrum.nu_minus)
-        - entropy_g(spectrum.nu_plus)
-        + entropy_g((_det(alpha, beta, gamma) + alpha) / (beta + 1.0))
-    )
-
-
 def discord_and_ppt(alpha: float, beta: float, gamma: float) -> tuple[float, float]:
     """(discord in bits, PPT eigenvalue) of the state (alpha*I, beta*I, gamma*Z).
 
-    The state's spectrum is computed once: it checks physicality and gives
-    the discord.  Both values equal gaussian_discord and ppt_min_eigenvalue
-    of the assembled covariance bit for bit.
+    D = f(beta) - f(nu_minus) - f(nu_plus) + f(sqrt(E_min)) with f the
+    bosonic entropy function.  For this form heterodyne detection is the
+    optimal Gaussian measurement, so sqrt(E_min) = (alpha*beta - gamma^2 +
+    alpha) / (beta + 1).  The state's spectrum is computed once: it checks
+    physicality and gives the discord.  Product states (gamma^2 < 1e-12)
+    have discord exactly 0.
     """
     spectrum = _spectrum(alpha, beta, gamma, alpha, beta, -gamma)
     if gamma * gamma < PRODUCT_STATE_TOL:
         discord = 0.0
     else:
-        discord = _discord_bits(alpha, beta, gamma, spectrum)
+        discord = (
+            entropy_g(beta)
+            - entropy_g(spectrum.nu_minus)
+            - entropy_g(spectrum.nu_plus)
+            + entropy_g((_det(alpha, beta, gamma) + alpha) / (beta + 1.0))
+        )
     return discord, _ppt_nu(alpha, beta, gamma, alpha, beta, -gamma)
 
 
 def gaussian_discord(sigma: TwoModeCovariance, *, log_base: float = 2.0) -> float:
     """Gaussian quantum discord of a block-form two-mode state, measured on mode 2.
 
-    D = f(beta) - f(nu_minus) - f(nu_plus) + f(sqrt(E_min)) with f the
-    bosonic entropy function.  For the (alpha*I, beta*I, gamma*Z) form,
-    heterodyne detection is the optimal Gaussian measurement, so
-    sqrt(E_min) = (alpha*beta - gamma^2 + alpha) / (beta + 1).  Raises
-    UnsupportedState for other states.  The default is base-2 logarithms
-    (bits); pass log_base=math.e for the natural-log convention common in
-    the discord literature, in which separable states satisfy D <= 1.
-
-    Product states (gamma^2 < 1e-12) short-circuit to exactly 0.
+    The discord of discord_and_ppt for sigma's (alpha, beta, gamma); raises
+    UnsupportedState for states not of that form.  The default is base-2
+    logarithms (bits); pass log_base=math.e for the natural-log convention
+    common in the discord literature, in which separable states satisfy
+    D <= 1.  log_base must be finite and greater than 1.
     """
-    alpha, beta, gamma = sigma.block_form()
-    if gamma * gamma < PRODUCT_STATE_TOL:
-        return 0.0
-    value = _discord_bits(alpha, beta, gamma, symplectic_spectrum(sigma))
+    if not (math.isfinite(log_base) and log_base > 1.0):
+        raise InvalidParameter(f"log_base must be finite and > 1, got {log_base!r}")
+    value = discord_and_ppt(*sigma.block_form())[0]
     if log_base != 2.0:
         value *= math.log(2.0) / math.log(log_base)
     return value

@@ -193,9 +193,7 @@ def _fmt(value) -> str:
 
 
 def rows_to_csv(rows: Sequence[ResultRow]) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(",".join(_fmt(v) for v in row.as_list()) for row in rows)
-    return "\n".join(lines) + "\n"
+    return table_to_csv(CSV_HEADER.split(","), [row.as_list() for row in rows])
 
 
 def rows_to_json(rows: Sequence[ResultRow]) -> str:
@@ -301,10 +299,16 @@ def figure_table(
     raise UnknownFigure(f"unknown figure id {figure_id!r}; known: {', '.join(FIGURE_IDS)}")
 
 
+def _check_bracket(lo: float, hi: float) -> None:
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+        raise InvalidParameter(f"search bracket must satisfy lo < hi, got [{lo!r}, {hi!r}]")
+
+
 def bisect_sign_change(
     f: Callable[[float], float], lo: float, hi: float, xtol: float = _BISECTION_XTOL
 ) -> float:
-    """Locate a sign change of f on [lo, hi] to absolute xtol by bisection."""
+    """Locate a sign change of f on a finite [lo, hi], lo < hi, to absolute xtol by bisection."""
+    _check_bracket(lo, hi)
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
         return lo
@@ -324,37 +328,33 @@ def bisect_sign_change(
     return 0.5 * (lo + hi)
 
 
-def _key_rate_fn(state, variance, w, det, rec) -> Callable[[float], float]:
-    def f(t: float) -> float:
-        return evaluate_point(state, variance, t, w, det, rec).key_rate
-
-    return f
-
-
 def threshold_on_t(
     state: str, variance: float, w: float, detection: Detection,
     reconciliation: Reconciliation, bracket: tuple[float, float] = _T_BRACKET,
-    xtol: float = _BISECTION_XTOL,
 ) -> float:
-    """Transmission at which the key rate changes sign."""
-    f = _key_rate_fn(state, variance, w, detection, reconciliation)
-    return bisect_sign_change(f, bracket[0], bracket[1], xtol)
+    """Transmission at which the key rate changes sign, to within 1e-4."""
+    def key_rate(t: float) -> float:
+        return evaluate_point(state, variance, t, w, detection, reconciliation).key_rate
+
+    return bisect_sign_change(key_rate, bracket[0], bracket[1])
 
 
 def threshold_on_discord(
     t: float, w: float, detection: Detection, reconciliation: Reconciliation,
-    bracket: tuple[float, float] = _VD_BRACKET, xtol: float = _BISECTION_XTOL,
+    bracket: tuple[float, float] = _VD_BRACKET,
 ) -> float:
     """Discord value (bits) at which the discord-state key rate changes sign.
 
     The search runs over the state variance, where the key rate is evaluated,
     and converges once the discord values bounding the sign change are within
-    xtol of each other; discord is monotone in the variance.
+    1e-4 of each other; discord is monotone in the variance.  Raises
+    InvalidParameter unless the bracket is finite with lo < hi.
     """
     def row_of(vd: float) -> ResultRow:
         return evaluate_point("discord", vd, t, w, detection, reconciliation)
 
     lo, hi = bracket
+    _check_bracket(lo, hi)
     row_lo, row_hi = row_of(lo), row_of(hi)
     k_lo, k_hi = row_lo.key_rate, row_hi.key_rate
     # V_D = 1 is a product state whose key rate vanishes identically; step past
@@ -372,7 +372,7 @@ def threshold_on_discord(
     # Each row carries its point's discord, so a moved end costs no extra work.
     d_lo, d_hi = row_lo.discord, row_hi.discord
     for _ in range(200):
-        if abs(d_hi - d_lo) <= xtol:
+        if abs(d_hi - d_lo) <= _BISECTION_XTOL:
             break
         mid = 0.5 * (lo + hi)
         row_mid = row_of(mid)

@@ -14,15 +14,12 @@ from discordqkd import (
     TwoModeCovariance,
     UnsupportedState,
     apply_entangling_cloner,
-    correlation_matrix,
-    excess_noise_delta,
-    excess_noise_epsilon,
-    heterodyne_measured_variance,
     make_discord_state,
     make_epr_state,
     symplectic_spectrum,
     von_neumann_entropy,
 )
+from discordqkd.channel import correlation_matrix, heterodyne_measured_variance
 from discordqkd.symplectic import I2, Z
 
 import highprec as hp
@@ -39,22 +36,6 @@ def _source(params):
     if isinstance(params, DiscordStateParams):
         return make_discord_state(params)
     return make_epr_state(params)
-
-
-class TestExcessNoise:
-    def test_delta(self):
-        assert excess_noise_delta(ChannelParams(t=0.5, w=1.0)) == 0.0
-        assert excess_noise_delta(ChannelParams(t=0.5, w=1.5)) == 0.5
-        assert excess_noise_delta(ChannelParams(t=0.5, w=2.0)) == 1.0
-
-    def test_epsilon(self):
-        assert excess_noise_epsilon(ChannelParams(t=0.7, w=1.0)) == 0.0
-        assert excess_noise_epsilon(ChannelParams(t=0.5, w=2.0)) == pytest.approx(1.0)
-        assert excess_noise_epsilon(ChannelParams(t=0.8, w=1.2)) == pytest.approx(0.05)
-
-    def test_epsilon_diverges_at_zero_transmission(self):
-        with pytest.raises(ZeroDivisionError):
-            excess_noise_epsilon(ChannelParams(t=0.0, w=1.5))
 
 
 class TestParams:

@@ -152,6 +152,26 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv,state", [
+        (("--sweep", "t", "--range", "0:1", "--vd", "40", "--w", "1"), "discord"),
+        (("--sweep", "w", "--range", "1:3", "--ve", "40", "--t", "0.9"), "epr"),
+    ])
+    def test_state_inferred_from_variance_flag(self, capsys, argv, state):
+        common = ("sweep", "--steps", "3", "--det", "hom", "--rec", "rr") + argv
+        code, out, err = run_cli(capsys, *common)
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *common, "--state", state)[1]
+        assert all(line.startswith(state + ",") for line in out.strip().split("\n")[1:])
+
+    @pytest.mark.parametrize("swept,flag", [("vd", "--ve"), ("ve", "--vd")])
+    def test_other_kinds_variance_flag_is_named(self, capsys, swept, flag):
+        code, out, err = run_cli(
+            capsys, "sweep", "--sweep", swept, "--range", "1:10", "--steps", "3",
+            "--t", "0.9", "--w", "1", flag, "3",
+        )
+        assert (code, out) == (2, "")
+        assert f"{flag} is only valid" in err
+
     def test_clamp_negative_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--sweep", "t", "--range", "0.1:0.4", "--steps", "4",

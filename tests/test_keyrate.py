@@ -13,15 +13,12 @@ from discordqkd import (
     ProtocolConfig,
     Reconciliation,
     apply_entangling_cloner,
-    conditional_variance,
     evaluate_point,
-    eve_information,
     make_discord_state,
     make_epr_state,
-    mutual_info_heterodyne,
-    mutual_info_homodyne,
     secret_key_rate,
 )
+from discordqkd.keyrate import conditional_variance
 
 import highprec as hp
 import oracles
@@ -52,6 +49,15 @@ def _config(det, rec, source, t, w):
     )
 
 
+def _i_ab(det, source, t, w):
+    """I(A:B) of the detection; it does not depend on the reconciliation."""
+    return secret_key_rate(_config(det, Reconciliation.DIRECT, source, t, w)).i_ab
+
+
+def _i_eve(det, rec, source, t, w):
+    return secret_key_rate(_config(det, rec, source, t, w)).i_eve
+
+
 def _output(source, t, w):
     if isinstance(source, DiscordStateParams):
         sigma = make_discord_state(source)
@@ -80,48 +86,43 @@ class TestConditionalVariance:
 
 class TestMutualInformation:
     def test_uncorrelated_source_gives_zero(self):
-        out = _output(DiscordStateParams(v=0.0), 0.7, 1.0)
-        assert mutual_info_homodyne(out) == 0.0
-        assert mutual_info_heterodyne(out) == 0.0
+        source = DiscordStateParams(v=0.0)
+        assert _i_ab(Detection.HOMODYNE, source, 0.7, 1.0) == 0.0
+        assert _i_ab(Detection.HETERODYNE, source, 0.7, 1.0) == 0.0
 
     def test_epr_transparent_homodyne(self):
-        out = _output(EprStateParams(v_e=40.0), 1.0, 1.0)
-        assert mutual_info_homodyne(out) == pytest.approx(math.log2(40.0), rel=1e-9)
+        got = _i_ab(Detection.HOMODYNE, EprStateParams(v_e=40.0), 1.0, 1.0)
+        assert got == pytest.approx(math.log2(40.0), rel=1e-9)
 
     def test_homodyne_golden(self):
-        out = _output(DiscordStateParams(v=39.0), 0.9, 1.0)
-        assert mutual_info_homodyne(out) == pytest.approx(I_AB_HOM_T09, rel=1e-12)
+        got = _i_ab(Detection.HOMODYNE, DiscordStateParams(v=39.0), 0.9, 1.0)
+        assert got == pytest.approx(I_AB_HOM_T09, rel=1e-12)
 
     def test_heterodyne_golden(self):
-        out = _output(DiscordStateParams(v=39.0), 0.9, 1.0)
-        assert mutual_info_heterodyne(out) == pytest.approx(I_AB_HET_T09, rel=1e-12)
+        got = _i_ab(Detection.HETERODYNE, DiscordStateParams(v=39.0), 0.9, 1.0)
+        assert got == pytest.approx(I_AB_HET_T09, rel=1e-12)
 
     def test_epr_heterodyne_no_excess_noise(self):
         # Conditioned on the sender's dual-quadrature data, the receiver's
         # measured variance drops to the vacuum level, so I = log2((V_B+1)/2).
-        out = _output(EprStateParams(v_e=40.0), 0.78, 1.0)
+        source = EprStateParams(v_e=40.0)
+        out = _output(source, 0.78, 1.0)
         expected = math.log2((out.v_b + 1.0) / 2.0)
-        assert mutual_info_heterodyne(out) == pytest.approx(expected, rel=1e-9)
+        assert _i_ab(Detection.HETERODYNE, source, 0.78, 1.0) == pytest.approx(expected, rel=1e-9)
 
 
 class TestEveInformation:
     @pytest.mark.parametrize("det", list(Detection))
     @pytest.mark.parametrize("rec", list(Reconciliation))
     def test_transparent_channel_leaks_nothing(self, det, rec):
-        source = DiscordStateParams(v=39.0)
-        out = _output(source, 1.0, 1.0)
-        config = _config(det, rec, source, 1.0, 1.0)
-        assert eve_information(config, out) == 0.0
+        assert _i_eve(det, rec, DiscordStateParams(v=39.0), 1.0, 1.0) == 0.0
 
     @pytest.mark.parametrize("det", list(Detection))
     @pytest.mark.parametrize("rec", list(Reconciliation))
     def test_decoupled_attacker_ancilla_leaks_nothing(self, det, rec):
         # At full transmission the attacker never mixes into the channel even
         # when her ancilla is noisy.
-        source = EprStateParams(v_e=25.0)
-        out = _output(source, 1.0, 2.5)
-        config = _config(det, rec, source, 1.0, 2.5)
-        assert eve_information(config, out) == 0.0
+        assert _i_eve(det, rec, EprStateParams(v_e=25.0), 1.0, 2.5) == 0.0
 
     def test_direct_homodyne_entropy_identity(self):
         # Without excess noise, S(E) reduces to g((1-T)V_A + T) for this source.
@@ -144,20 +145,15 @@ class TestEveInformation:
         ],
     )
     def test_golden_values_balanced_channel(self, det, rec, expected):
-        source = DiscordStateParams(v=39.0)
-        out = _output(source, 0.5, 1.0)
-        config = _config(det, rec, source, 0.5, 1.0)
-        assert eve_information(config, out) == pytest.approx(expected, rel=1e-12)
+        got = _i_eve(det, rec, DiscordStateParams(v=39.0), 0.5, 1.0)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative_randomized(self):
         for source, params in oracles.random_cases(seed=47, n=80):
-            out = _output(source, params.t, params.w)
-            assert mutual_info_homodyne(out) >= 0.0
-            assert mutual_info_heterodyne(out) >= 0.0
             for det in Detection:
+                assert _i_ab(det, source, params.t, params.w) >= 0.0
                 for rec in Reconciliation:
-                    config = _config(det, rec, source, params.t, params.w)
-                    assert eve_information(config, out) >= -1e-9
+                    assert _i_eve(det, rec, source, params.t, params.w) >= -1e-9
 
 
 class TestSecretKeyRate:

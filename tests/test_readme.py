@@ -1,0 +1,51 @@
+"""The README's "Library use" example runs and prints what it says."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import discordqkd
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _library_use_block() -> str:
+    section = README.read_text().split("## Library use", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_library_use_example(capsys):
+    source = _library_use_block()
+    exec(compile(source, str(README), "exec"), {})
+    discord_line, rate_line = capsys.readouterr().out.splitlines()
+
+    discord, ppt_nu = map(float, discord_line.split())
+    assert round(discord, 3) == 0.532
+    assert ppt_nu == 1.0
+
+    key_rate, i_ab, i_eve = map(float, rate_line.split())
+    assert key_rate == i_ab - i_eve
+
+
+def test_library_use_imports_only_public_names():
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(_library_use_block()))
+        if isinstance(node, ast.ImportFrom) and node.module == "discordqkd"
+        for alias in node.names
+    ]
+    assert imported
+    assert [name for name in imported if name not in discordqkd.__all__] == []
+
+
+@pytest.mark.parametrize("module,name", [
+    ("symplectic", "I2"), ("symplectic", "Z"), ("symplectic", "partial_transpose"),
+    ("channel", "correlation_matrix"), ("channel", "heterodyne_measured_variance"),
+    ("keyrate", "conditional_variance"),
+    ("errors", "DegenerateInput"), ("errors", "ConvergenceFailure"),
+])
+def test_helpers_live_in_their_submodules(module, name):
+    assert name not in discordqkd.__all__
+    assert not hasattr(discordqkd, name)
+    assert hasattr(getattr(discordqkd, module), name)

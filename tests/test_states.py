@@ -7,7 +7,6 @@ import pytest
 
 from discordqkd import (
     ChannelParams,
-    DegenerateInput,
     Detection,
     DiscordStateParams,
     EprStateParams,
@@ -22,6 +21,7 @@ from discordqkd import (
     make_epr_state,
     symplectic_spectrum,
 )
+from discordqkd.errors import DegenerateInput
 from discordqkd.symplectic import I2, Z
 
 import highprec as hp
@@ -197,6 +197,12 @@ class TestGaussianDiscord:
     def test_golden_v1_bits(self):
         sigma = make_discord_state(DiscordStateParams(v=1.0))
         assert gaussian_discord(sigma) == pytest.approx(DISCORD_BITS_V1, rel=1e-10)
+
+    @pytest.mark.parametrize("log_base", [1.0, 0.5, -1.0, 0.0, math.inf, math.nan])
+    def test_log_base_must_exceed_one(self, log_base):
+        sigma = make_discord_state(DiscordStateParams(v=39.0))
+        with pytest.raises(InvalidParameter, match="log_base"):
+            gaussian_discord(sigma, log_base=log_base)
 
     def test_golden_v1_nats(self):
         sigma = make_discord_state(DiscordStateParams(v=1.0))

@@ -323,3 +323,30 @@ class TestThresholds:
             0.3, 1.0, Detection.HOMODYNE, Reconciliation.REVERSE, bracket=(1.0, 1000.0)
         )
         assert d_star > 0.05
+
+    @pytest.mark.parametrize("bracket", [
+        (0.99, 0.01), (0.5, 0.5), (math.nan, 0.9), (0.01, math.inf),
+    ])
+    def test_t_threshold_rejects_bad_bracket(self, bracket):
+        with pytest.raises(InvalidParameter, match="lo < hi"):
+            threshold_on_t(
+                "discord", 40.0, 1.0, Detection.HETERODYNE, Reconciliation.REVERSE,
+                bracket=bracket,
+            )
+
+    @pytest.mark.parametrize("bracket", [
+        (1000.0, 1.0), (40.0, 40.0), (1.0, math.nan), (-math.inf, 1000.0),
+    ])
+    def test_discord_threshold_rejects_bad_bracket(self, bracket):
+        with pytest.raises(InvalidParameter, match="lo < hi"):
+            threshold_on_discord(
+                0.75, 1.0, Detection.HETERODYNE, Reconciliation.DIRECT, bracket=bracket
+            )
+
+    def test_searches_take_no_tolerance(self):
+        with pytest.raises(TypeError):
+            threshold_on_t("discord", 40.0, 1.0, Detection.HETERODYNE,
+                           Reconciliation.REVERSE, xtol=1e-6)
+        with pytest.raises(TypeError):
+            threshold_on_discord(0.75, 1.0, Detection.HETERODYNE,
+                                 Reconciliation.DIRECT, xtol=1e-6)

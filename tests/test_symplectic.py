@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from discordqkd import (
-    ConvergenceFailure,
     DegenerateMatrix,
     DiscordStateParams,
     DomainError,
@@ -20,13 +19,13 @@ from discordqkd import (
     entropy_g,
     make_discord_state,
     make_epr_state,
-    partial_transpose,
     ppt_min_eigenvalue,
     symplectic_spectrum,
     von_neumann_entropy,
 )
 from discordqkd import ChannelParams
-from discordqkd.symplectic import I2, Z
+from discordqkd.errors import ConvergenceFailure
+from discordqkd.symplectic import I2, Z, partial_transpose
 
 import highprec as hp
 import oracles
