@@ -5,7 +5,7 @@ Subcommands:
 * ``eval``       one protocol evaluation, printed as a single result row
 * ``sweep``      one-parameter grid written as CSV or JSON
 * ``figure``     preset sweeps reproducing the standard curve families
-* ``threshold``  bisection search for a key-rate sign change
+* ``threshold``  root search for a key-rate sign change, to a few ulps
 * ``discord``    Gaussian discord of a source state
 * ``ppt``        smallest partial-transpose symplectic eigenvalue
 
@@ -22,8 +22,8 @@ import sys
 from typing import Optional
 
 from .errors import GaussianStateError, InvalidParameter, NonPhysicalState, NoSignChange
-from .keyrate import Detection, Reconciliation, make_source_state
-from .states import gaussian_discord
+from .keyrate import Detection, Reconciliation
+from .states import discord_and_ppt, gaussian_discord
 from .sweeps import (
     FIGURE_IDS,
     FIGURE_STEPS,
@@ -42,7 +42,6 @@ from .sweeps import (
     threshold_on_t,
     write_text_atomic,
 )
-from .symplectic import ppt_min_eigenvalue
 
 #: Flags a ``--config`` line may set, each written ``key=value`` without dashes.
 _CONFIG_KEYS = ("state", "vd", "ve", "t", "w", "det", "rec", "sweep", "range", "steps",
@@ -101,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--config", default=None)
     _add_output(p_fig)
 
-    p_thr = sub.add_parser("threshold", help="locate a key-rate sign change by bisection")
+    p_thr = sub.add_parser("threshold", help="locate a key-rate sign change")
     _add_common(p_thr)
     p_thr.add_argument("--sweep", choices=["t", "discord"], required=False, default=None,
                        help="quantity the threshold is reported on")
@@ -264,16 +263,15 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 def _cmd_discord(args: argparse.Namespace) -> int:
     state, variance = _resolve_state(args)
-    sigma = make_source_state(_source_params(state, variance))
     base = math.e if args.units == "nats" else 2.0
-    sys.stdout.write(repr(gaussian_discord(sigma, log_base=base)) + "\n")
+    sys.stdout.write(repr(gaussian_discord(_source_params(state, variance), log_base=base)) + "\n")
     return 0
 
 
 def _cmd_ppt(args: argparse.Namespace) -> int:
     state, variance = _resolve_state(args)
-    sigma = make_source_state(_source_params(state, variance))
-    sys.stdout.write(repr(ppt_min_eigenvalue(sigma)) + "\n")
+    source = _source_params(state, variance)
+    sys.stdout.write(repr(discord_and_ppt(*source.block_form())[1]) + "\n")
     return 0
 
 

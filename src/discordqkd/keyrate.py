@@ -22,6 +22,7 @@ from .channel import (
     apply_entangling_cloner,
     heterodyne_measured_variance,
 )
+from .errors import DegenerateMatrix, InvalidParameter
 from .states import (
     DiscordStateParams,
     EprStateParams,
@@ -52,6 +53,16 @@ class ProtocolConfig:
     reconciliation: Reconciliation
     source: SourceParams
     channel: ChannelParams
+
+    def __post_init__(self):
+        for name, kind in (("detection", Detection), ("reconciliation", Reconciliation)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                try:
+                    object.__setattr__(self, name, kind(value))
+                except ValueError:
+                    raise InvalidParameter(
+                        f"{name} must be one of {', '.join(kind)}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -89,14 +100,14 @@ def _mutual_info(detection: Detection, out: ChannelOutput) -> tuple[float, float
     if detection is Detection.HOMODYNE:
         v_cond = conditional_variance(out.v_b, out.gamma_prime, out.v_a)
         if v_cond <= 0.0:
-            raise ZeroDivisionError("conditional variance vanished")
+            raise DegenerateMatrix("conditional variance vanished")
         return 0.5 * math.log2(out.v_b / v_cond), v_cond
     v_am = heterodyne_measured_variance(out.v_a)
     v_cond = conditional_variance(out.v_b, out.gamma_prime / math.sqrt(2.0), v_am)
     v_bm = heterodyne_measured_variance(out.v_b)
     v_cond_m = heterodyne_measured_variance(v_cond)
     if v_cond_m <= 0.0:
-        raise ZeroDivisionError("conditional measured variance vanished")
+        raise DegenerateMatrix("conditional measured variance vanished")
     return math.log2(v_bm / v_cond_m), v_cond
 
 

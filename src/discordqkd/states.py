@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Union
 
 from .errors import InvalidParameter
 from .symplectic import (
@@ -105,14 +106,18 @@ def discord_and_ppt(alpha: float, beta: float, gamma: float) -> tuple[float, flo
     return discord, _ppt_nu(alpha, beta, gamma, alpha, beta, -gamma)
 
 
-def gaussian_discord(sigma: TwoModeCovariance, *, log_base: float = 2.0) -> float:
+def gaussian_discord(
+    sigma: Union[TwoModeCovariance, DiscordStateParams, EprStateParams], *, log_base: float = 2.0
+) -> float:
     """Gaussian quantum discord of a block-form two-mode state, measured on mode 2.
 
-    The discord of discord_and_ppt for sigma's (alpha, beta, gamma); raises
-    UnsupportedState for states not of that form.  The default is base-2
-    logarithms (bits); pass log_base=math.e for the natural-log convention
-    common in the discord literature, in which separable states satisfy
-    D <= 1.  log_base must be finite and greater than 1.
+    The discord of discord_and_ppt for the (alpha, beta, gamma) of
+    ``sigma.block_form()``, so a covariance and a source's parameters serve
+    alike; a covariance not of that form raises UnsupportedState.  The
+    default is base-2 logarithms (bits); pass log_base=math.e for the
+    natural-log convention common in the discord literature, in which
+    separable states satisfy D <= 1.  log_base must be finite and greater
+    than 1.
     """
     if not (math.isfinite(log_base) and log_base > 1.0):
         raise InvalidParameter(f"log_base must be finite and > 1, got {log_base!r}")

@@ -29,7 +29,6 @@ FIGURE_STEPS = 201
 
 _T_BRACKET = (0.01, 0.99)
 _VD_BRACKET = (1.0, 1000.0)
-_BISECTION_XTOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -144,8 +143,8 @@ def evaluate_point(
         variance=variance,
         t=t,
         w=w,
-        detection=detection.value,
-        reconciliation=reconciliation.value,
+        detection=config.detection.value,
+        reconciliation=config.reconciliation.value,
     )
     try:
         discord, ppt = discord_and_ppt(*source.block_form())
@@ -304,39 +303,45 @@ def _check_bracket(lo: float, hi: float) -> None:
         raise InvalidParameter(f"search bracket must satisfy lo < hi, got [{lo!r}, {hi!r}]")
 
 
-def bisect_sign_change(
-    f: Callable[[float], float], lo: float, hi: float, xtol: float = _BISECTION_XTOL
-) -> float:
-    """Locate a sign change of f on a finite [lo, hi], lo < hi, to absolute xtol by bisection."""
+def find_sign_change(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Locate a sign change of f on a finite [lo, hi], lo < hi, to a few ulps.
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 168 (1971)): the secant's
+    root replaces one end of the bracket, and an end kept again has its f value
+    halved; the midpoint stands in where rounding puts that root outside.
+    """
     _check_bracket(lo, hi)
-    f_lo, f_hi = f(lo), f(hi)
+    f_lo = f(lo)
     if f_lo == 0.0:
         return lo
+    f_hi = f(hi)
     if f_hi == 0.0:
         return hi
     if f_lo * f_hi > 0.0:
         raise NoSignChange(lo, hi, f_lo, f_hi)
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_mid * f_lo < 0.0:
-            hi = mid
+    last, f_last, kept, f_kept = hi, f_hi, lo, f_lo
+    while f_last != 0.0 and abs(last - kept) > 4.0 * math.ulp(max(abs(last), abs(kept))):
+        x = last - (last - kept) * (f_last / (f_last - f_kept))
+        if not min(last, kept) < x < max(last, kept):
+            x = 0.5 * (last + kept)
+        f_x = f(x)
+        if (f_x < 0.0) != (f_last < 0.0):
+            kept, f_kept = last, f_last
         else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+            f_kept *= 0.5
+        last, f_last = x, f_x
+    return last
 
 
 def threshold_on_t(
     state: str, variance: float, w: float, detection: Detection,
     reconciliation: Reconciliation, bracket: tuple[float, float] = _T_BRACKET,
 ) -> float:
-    """Transmission at which the key rate changes sign, to within 1e-4."""
+    """Transmission at which the key rate changes sign, to a few ulps."""
     def key_rate(t: float) -> float:
         return evaluate_point(state, variance, t, w, detection, reconciliation).key_rate
 
-    return bisect_sign_change(key_rate, bracket[0], bracket[1])
+    return find_sign_change(key_rate, bracket[0], bracket[1])
 
 
 def threshold_on_discord(
@@ -346,41 +351,22 @@ def threshold_on_discord(
     """Discord value (bits) at which the discord-state key rate changes sign.
 
     The search runs over the state variance, where the key rate is evaluated,
-    and converges once the discord values bounding the sign change are within
-    1e-4 of each other; discord is monotone in the variance.  Raises
-    InvalidParameter unless the bracket is finite with lo < hi.
+    and maps the variance it finds to discord, which is monotone in it.
+    Raises InvalidParameter unless the bracket is finite with lo < hi.
     """
-    def row_of(vd: float) -> ResultRow:
-        return evaluate_point("discord", vd, t, w, detection, reconciliation)
+    def key_rate(vd: float) -> float:
+        return evaluate_point("discord", vd, t, w, detection, reconciliation).key_rate
 
     lo, hi = bracket
-    _check_bracket(lo, hi)
-    row_lo, row_hi = row_of(lo), row_of(hi)
-    k_lo, k_hi = row_lo.key_rate, row_hi.key_rate
-    # V_D = 1 is a product state whose key rate vanishes identically; step past
-    # that degenerate zero instead of mistaking it for the threshold.
     step = max(1e-6, (hi - lo) * 1e-6)
-    while k_lo == 0.0 and lo + step < hi:
+    vd_star = find_sign_change(key_rate, lo, hi)
+    # V_D = 1 is a product state whose key rate vanishes identically; step past
+    # that degenerate zero instead of mistaking it for the threshold.  Only a
+    # zero at lo makes the search return lo, as its root lies strictly inside.
+    while vd_star == lo:
+        if lo + step >= hi:
+            raise NoSignChange(lo, hi, 0.0, key_rate(hi))
         lo += step
         step *= 10.0
-        row_lo = row_of(lo)
-        k_lo = row_lo.key_rate
-    if k_hi == 0.0:
-        return row_hi.discord
-    if k_lo == 0.0 or k_lo * k_hi > 0.0:
-        raise NoSignChange(lo, hi, k_lo, k_hi)
-    # Each row carries its point's discord, so a moved end costs no extra work.
-    d_lo, d_hi = row_lo.discord, row_hi.discord
-    for _ in range(200):
-        if abs(d_hi - d_lo) <= _BISECTION_XTOL:
-            break
-        mid = 0.5 * (lo + hi)
-        row_mid = row_of(mid)
-        k_mid = row_mid.key_rate
-        if k_mid == 0.0:
-            return row_mid.discord
-        if k_mid * k_lo < 0.0:
-            hi, d_hi = mid, row_mid.discord
-        else:
-            lo, k_lo, d_lo = mid, k_mid, row_mid.discord
-    return _discord_state_invariants(0.5 * (lo + hi))[0]
+        vd_star = find_sign_change(key_rate, lo, hi)
+    return _discord_state_invariants(vd_star)[0]

@@ -5,7 +5,7 @@ makes them.  A3 (dominance): at equal variance the two-mode squeezed state
 yields a strictly higher key rate than the correlated-displacement state,
 except for heterodyne detection with direct reconciliation below the crossing
 T* of criterion A8, where the order is reversed and A3 asserts the reverse
-strictly.  A3 finds T* with the same bisection as A8, so the two criteria
+strictly.  A3 finds T* with the same root search as A8, so the two criteria
 cannot contradict each other.  A4 (monotonicity): more modulation noise, hence
 more discord, never lowers the key rate on any cell where the lower-noise
 state distils key (K > 0); a negative rate is not a key rate, so cells below
@@ -42,7 +42,7 @@ from discordqkd import (
     von_neumann_entropy,
 )
 from discordqkd.symplectic import I2
-from discordqkd.sweeps import SweepSpec, bisect_sign_change
+from discordqkd.sweeps import SweepSpec, find_sign_change
 
 import oracles
 from oracles import condition_on_heterodyne, condition_on_homodyne, symplectic_spectrum_oracle
@@ -103,7 +103,7 @@ def _het_dr_difference(t: float) -> float:
 
 
 def _het_dr_crossing() -> float:
-    return bisect_sign_change(_het_dr_difference, 0.5, 0.99, xtol=1e-4)
+    return find_sign_change(_het_dr_difference, 0.5, 0.99)
 
 
 def test_a3_squeezed_coherent_dominance():

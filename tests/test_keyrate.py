@@ -7,9 +7,11 @@ import pytest
 
 from discordqkd import (
     ChannelParams,
+    DegenerateMatrix,
     Detection,
     DiscordStateParams,
     EprStateParams,
+    InvalidParameter,
     ProtocolConfig,
     Reconciliation,
     apply_entangling_cloner,
@@ -190,6 +192,14 @@ class TestSecretKeyRate:
         )
         assert report.key_rate > 0.0
 
+    def test_vanishing_conditional_variance_is_degenerate(self):
+        # A lossless channel keeps V(B|A) = 1/V_E of a strong EPR source, which
+        # cancels to 0 in V_B - gamma'^2 / V_A.
+        with pytest.raises(DegenerateMatrix, match="conditional variance vanished"):
+            secret_key_rate(_config(
+                Detection.HOMODYNE, Reconciliation.DIRECT, EprStateParams(v_e=1e8), 1.0, 1.0
+            ))
+
     def test_end_to_end_golden_row(self):
         report = secret_key_rate(
             _config(
@@ -289,6 +299,41 @@ class TestSecretKeyRate:
             state, variance, t, 1.0, Detection.HETERODYNE, Reconciliation.DIRECT
         )
         assert row.key_rate == pytest.approx(expected, abs=1e-8)
+
+
+class TestProtocolValues:
+    """Detection and reconciliation given by value select the same protocol."""
+
+    SOURCE = DiscordStateParams(v=39.0)
+    CHANNEL = ChannelParams(t=0.9, w=1.0)
+
+    @pytest.mark.parametrize("det", list(Detection))
+    @pytest.mark.parametrize("rec", list(Reconciliation))
+    def test_values_select_the_protocol(self, det, rec):
+        by_value = ProtocolConfig(det.value, rec.value, self.SOURCE, self.CHANNEL)
+        assert by_value.detection is det and by_value.reconciliation is rec
+        by_member = ProtocolConfig(det, rec, self.SOURCE, self.CHANNEL)
+        assert secret_key_rate(by_value) == secret_key_rate(by_member)
+
+    def test_homodyne_reverse_by_value(self):
+        report = secret_key_rate(ProtocolConfig("hom", "rr", self.SOURCE, self.CHANNEL))
+        reference = hp.key_rate(*hp.discord_source(40), 0.9, 1, "hom", "rr")
+        assert report.key_rate == pytest.approx(float(reference), rel=1e-12)
+
+    @pytest.mark.parametrize("det,rec", [
+        ("homodyne", "reverse"), ("hom", "direct"), ("HOM", "rr"), (None, "rr"), ("het", 1),
+    ])
+    def test_unknown_value_rejected(self, det, rec):
+        with pytest.raises(InvalidParameter):
+            ProtocolConfig(det, rec, self.SOURCE, self.CHANNEL)
+
+    def test_evaluate_point_takes_values(self):
+        by_value = evaluate_point("discord", 40.0, 0.9, 1.0, "hom", "rr")
+        by_member = evaluate_point(
+            "discord", 40.0, 0.9, 1.0, Detection.HOMODYNE, Reconciliation.REVERSE
+        )
+        assert by_value == by_member
+        assert (by_value.detection, by_value.reconciliation) == ("hom", "rr")
 
 
 class TestHighPrecisionReference:

@@ -1,11 +1,14 @@
-"""The README's "Library use" example runs and prints what it says."""
+"""The README's examples run: the "Library use" code prints what it says, and
+every command of the "Command line" block exits 0."""
 
 import ast
+import shlex
 from pathlib import Path
 
 import pytest
 
 import discordqkd
+from discordqkd import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,6 +16,25 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def _library_use_block() -> str:
     section = README.read_text().split("## Library use", 1)[1]
     return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _command_line_block() -> list[list[str]]:
+    """Each ``discordqkd ...`` command of the README's first sh block under
+    "Command line", with backslash continuations joined and comments dropped."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("discordqkd ")]
+
+
+def test_command_line_block(tmp_path, monkeypatch, capsys):
+    commands = _command_line_block()
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
+    assert (tmp_path / "sweep.csv").is_file()
 
 
 def test_library_use_example(capsys):

@@ -7,6 +7,7 @@ floats, not merely close ones.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -77,6 +78,13 @@ class TestScalarRouteMatchesMatrixRoute:
         scalar = _outcome(discord_and_ppt, *params.block_form())
         matrix = _outcome(lambda: (gaussian_discord(sigma), ppt_min_eigenvalue(sigma)))
         assert scalar == matrix
+
+    @pytest.mark.parametrize("log_base", [2.0, math.e])
+    def test_gaussian_discord_takes_params(self, source, log_base):
+        _, _, params = source
+        sigma = make_source_state(params)
+        assert (_outcome(lambda: gaussian_discord(params, log_base=log_base))
+                == _outcome(lambda: gaussian_discord(sigma, log_base=log_base)))
 
     def test_row_discord_and_ppt(self, source):
         state, variance, params = source

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from decimal import Decimal
 
 import pytest
 
@@ -27,7 +28,9 @@ from discordqkd import (
     threshold_on_t,
 )
 from discordqkd import sweeps as sweeps_mod
-from discordqkd.sweeps import bisect_sign_change, table_to_csv, write_text_atomic
+from discordqkd.sweeps import find_sign_change, table_to_csv, write_text_atomic
+
+import highprec as hp
 
 
 def _spec(**overrides):
@@ -288,12 +291,12 @@ class TestFigures:
 
 class TestThresholds:
     def test_bisection_simple_root(self):
-        root = bisect_sign_change(lambda x: x * x - 4.0, 0.0, 3.0, xtol=1e-6)
+        root = find_sign_change(lambda x: x * x - 4.0, 0.0, 3.0)
         assert root == pytest.approx(2.0, abs=1e-5)
 
     def test_bisection_requires_sign_change(self):
         with pytest.raises(NoSignChange) as err:
-            bisect_sign_change(lambda x: 1.0 + x, 0.0, 1.0)
+            find_sign_change(lambda x: 1.0 + x, 0.0, 1.0)
         assert err.value.f_lo == 1.0
         assert err.value.f_hi == 2.0
 
@@ -343,6 +346,12 @@ class TestThresholds:
                 0.75, 1.0, Detection.HETERODYNE, Reconciliation.DIRECT, bracket=bracket
             )
 
+    def test_discord_threshold_needs_a_sign_change_past_the_product_state(self):
+        # At T = 0 with W = 1, reverse reconciliation, the key rate is zero for
+        # every V_D, so no discord is a threshold.
+        with pytest.raises(NoSignChange):
+            threshold_on_discord(0.0, 1.0, Detection.HOMODYNE, Reconciliation.REVERSE)
+
     def test_searches_take_no_tolerance(self):
         with pytest.raises(TypeError):
             threshold_on_t("discord", 40.0, 1.0, Detection.HETERODYNE,
@@ -350,3 +359,56 @@ class TestThresholds:
         with pytest.raises(TypeError):
             threshold_on_discord(0.75, 1.0, Detection.HETERODYNE,
                                  Reconciliation.DIRECT, xtol=1e-6)
+
+
+def _vd_of_reference_discord(discord: Decimal) -> Decimal:
+    """V_D whose 50-digit discord is ``discord``, by bisection (discord rises with V_D)."""
+    lo, hi = Decimal(1), Decimal(1000)
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        if hp.gaussian_discord(*hp.discord_state_invariants(mid - 1)) < discord:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+T_SEARCHES = [
+    ("discord", 40.0, 1.0, Detection.HETERODYNE, Reconciliation.REVERSE),  # README
+    ("discord", 1000.0, 1.0, Detection.HOMODYNE, Reconciliation.DIRECT),
+    ("epr", 40.0, 2.0, Detection.HOMODYNE, Reconciliation.REVERSE),
+    ("epr", 40.0, 1.0, Detection.HETERODYNE, Reconciliation.DIRECT),
+    ("discord", 1000.0, 1.2, Detection.HETERODYNE, Reconciliation.REVERSE),
+]
+
+DISCORD_SEARCHES = [
+    (0.75, 1.0, Detection.HETERODYNE, Reconciliation.DIRECT),  # README
+    (0.6, 1.0, Detection.HOMODYNE, Reconciliation.DIRECT),
+    (0.5, 1.05, Detection.HOMODYNE, Reconciliation.REVERSE),
+    (0.8, 1.1, Detection.HETERODYNE, Reconciliation.DIRECT),
+    (0.7, 1.05, Detection.HETERODYNE, Reconciliation.REVERSE),
+]
+
+#: A returned threshold must lie this close to the 50-digit root: the
+#: reference key rate changes sign across the window around it.
+REFERENCE_WINDOW = Decimal("1e-10")
+
+
+@pytest.mark.parametrize("state,variance,w,det,rec", T_SEARCHES)
+def test_t_threshold_brackets_the_reference_root(state, variance, w, det, rec):
+    t_star = Decimal(repr(threshold_on_t(state, variance, w, det, rec)))
+    source = hp.discord_source(variance) if state == "discord" else hp.epr_source(variance)
+    below = hp.key_rate(*source, t_star - REFERENCE_WINDOW, w, det.value, rec.value)
+    above = hp.key_rate(*source, t_star + REFERENCE_WINDOW, w, det.value, rec.value)
+    assert below * above < 0
+
+
+@pytest.mark.parametrize("t,w,det,rec", DISCORD_SEARCHES)
+def test_discord_threshold_brackets_the_reference_root(t, w, det, rec):
+    d_star = Decimal(repr(threshold_on_discord(t, w, det, rec)))
+    rates = [
+        hp.key_rate(*hp.discord_source(_vd_of_reference_discord(d_star + delta)),
+                    t, w, det.value, rec.value)
+        for delta in (-REFERENCE_WINDOW, REFERENCE_WINDOW)
+    ]
+    assert rates[0] * rates[1] < 0
