@@ -16,20 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .channel import (
-    ChannelOutput,
-    ChannelParams,
-    apply_entangling_cloner,
-    heterodyne_measured_variance,
-)
-from .errors import DegenerateMatrix, InvalidParameter
-from .states import (
-    DiscordStateParams,
-    EprStateParams,
-    make_discord_state,
-    make_epr_state,
-)
-from .symplectic import TwoModeCovariance, _spectrum_squares, entropy_g
+from .channel import ChannelParams
+from .errors import InvalidParameter
+from .states import DiscordStateParams, EprStateParams, make_discord_state, make_epr_state
+from .symplectic import TwoModeCovariance, entropy_g
 
 
 class Detection(str, enum.Enum):
@@ -45,6 +35,20 @@ class Reconciliation(str, enum.Enum):
 SourceParams = Union[DiscordStateParams, EprStateParams]
 
 
+def _protocol_pairs(detections, reconciliations) -> list[tuple[Detection, Reconciliation]]:
+    """Each (detection, reconciliation) pair, detection-major, as members; values like "hom" map."""
+    def member(kind, value):
+        if isinstance(value, kind):
+            return value
+        try:
+            return kind(value)
+        except ValueError:
+            raise InvalidParameter(
+                f"{kind.__name__.lower()} must be one of {', '.join(kind)}, got {value!r}") from None
+    return [(member(Detection, det), member(Reconciliation, rec))
+            for det in detections for rec in reconciliations]
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """One fully specified protocol variant: detection x reconciliation x source x channel."""
@@ -55,14 +59,9 @@ class ProtocolConfig:
     channel: ChannelParams
 
     def __post_init__(self):
-        for name, kind in (("detection", Detection), ("reconciliation", Reconciliation)):
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                try:
-                    object.__setattr__(self, name, kind(value))
-                except ValueError:
-                    raise InvalidParameter(
-                        f"{name} must be one of {', '.join(kind)}, got {value!r}") from None
+        [(detection, reconciliation)] = _protocol_pairs([self.detection], [self.reconciliation])
+        object.__setattr__(self, "detection", detection)
+        object.__setattr__(self, "reconciliation", reconciliation)
 
 
 @dataclass(frozen=True)
@@ -90,56 +89,72 @@ def conditional_variance(v_x: float, cov_xy: float, v_y: float) -> float:
     return float(v_x) - float(cov_xy) ** 2 / float(v_y)
 
 
-def _mutual_info(detection: Detection, out: ChannelOutput) -> tuple[float, float]:
-    """(I(A:B) in bits, V(B|A)) for the chosen detection on both sides.
+def _entropy(nu_plus: float, root_det: float) -> float:
+    """Entropy in bits of a two-mode state from nu_plus and nu_plus * nu_minus."""
+    return entropy_g(nu_plus) + entropy_g(root_det / nu_plus)
 
-    Homodyne gives (1/2) log2[V_B / V(B|A)], heterodyne log2[V_B^M / V(B^M|A^M)]:
-    each heterodyne detector adds a vacuum unit and halves the variance, so
-    the measured-variance map v -> (v+1)/2 enters on both sides.
+
+def _twin_nu_plus(diff: float, det: float) -> float:
+    """nu_plus where nu_plus - nu_minus = |diff| and nu_plus * nu_minus = det."""
+    return 0.5 * (abs(diff) + math.hypot(diff, 2.0 * math.sqrt(det)))
+
+
+def key_rates(source: SourceParams, channel: ChannelParams, protocols) -> list[KeyRateReport]:
+    """One KeyRateReport per (Detection, Reconciliation) member pair, in order.
+
+    Only the source's (alpha, beta, delta = alpha*beta - gamma^2) and the channel's (T, W)
+    enter.  Each closed form is a sum of positive terms, or a square or product of differences
+    that vanish with what they give, so nothing cancels (tests/test_identities.py derives them).
     """
-    if detection is Detection.HOMODYNE:
-        v_cond = conditional_variance(out.v_b, out.gamma_prime, out.v_a)
-        if v_cond <= 0.0:
-            raise DegenerateMatrix("conditional variance vanished")
-        return 0.5 * math.log2(out.v_b / v_cond), v_cond
-    v_am = heterodyne_measured_variance(out.v_a)
-    v_cond = conditional_variance(out.v_b, out.gamma_prime / math.sqrt(2.0), v_am)
-    v_bm = heterodyne_measured_variance(out.v_b)
-    v_cond_m = heterodyne_measured_variance(v_cond)
-    if v_cond_m <= 0.0:
-        raise DegenerateMatrix("conditional measured variance vanished")
-    return math.log2(v_bm / v_cond_m), v_cond
-
-
-def _entropy(ax: float, bx: float, cx: float, ay: float, by: float, cy: float) -> float:
-    """Entropy in bits of a two-mode state given by its X and Y blocks."""
-    hi, lo = _spectrum_squares(ax, bx, cx, ay, by, cy)
-    return entropy_g(math.sqrt(hi)) + entropy_g(math.sqrt(lo))
-
-
-def _eve_entropies(config: ProtocolConfig, out: ChannelOutput) -> tuple[float, float]:
-    """(S(E), S(E | reference measurement)) in bits.
-
-    The attacker's modes (E', E'') have X block [[e_v, phi], [phi, W]] and
-    Y block [[e_v, -phi], [-phi, W]].  The reference party, of variance v,
-    correlates with them as zeta and eta on X and as zeta and -eta on Y.
-    Homodyning its X quadrature subtracts [[zeta^2, zeta*eta], [zeta*eta,
-    eta^2]] / v from the X block; heterodyning subtracts that matrix over
-    v + 1 from the X block and its sign-flipped off-diagonal twin from Y.
-    """
-    if config.reconciliation is Reconciliation.DIRECT:
-        zeta, eta, v = out.zeta, out.eta, out.v_a
-    else:
-        zeta, eta, v = out.zeta_prime, out.eta_prime, out.v_b
-    e_v, w, phi = out.e_v, config.channel.w, out.phi
-    s = v if config.detection is Detection.HOMODYNE else v + 1.0
-    xx = e_v - zeta * zeta / s
-    xy = phi - zeta * eta / s
-    ww = w - eta * eta / s
-    s_e = _entropy(e_v, w, phi, e_v, w, -phi)
-    if config.detection is Detection.HOMODYNE:
-        return s_e, _entropy(xx, ww, xy, e_v, w, -phi)
-    return s_e, _entropy(xx, ww, xy, xx, ww, -xy)
+    alpha, beta, delta = source.block_invariants()
+    t, w = channel.t, channel.w
+    u = 1.0 - t
+    v_b = t * beta + u * w
+    # The attacker's X block is [[e_v, phi], [phi, W]]; her Y block negates phi.
+    det_e = u * w * beta + t
+    s_e = _entropy(_twin_nu_plus(u * (beta - w), det_e), det_e)
+    # A reference uncorrelated with the attacker (zeta = 0 for DR, zeta' =
+    # eta' = 0 for RR) tells her nothing: S(E|ref) = S(E) exactly.
+    uncorrelated = {Reconciliation.DIRECT: u * (alpha * beta - delta) == 0.0,
+                    Reconciliation.REVERSE: u * (t * (w - beta) * (w - beta) + w * w - 1.0) == 0.0}
+    reports = []
+    for detection, reconciliation in protocols:
+        if detection is Detection.HOMODYNE:
+            # I = (1/2) log2[V_B / V(B|A)].  Only the attacker's X block is conditioned.
+            v_cond = u * w + t * delta / alpha
+            i_ab = 0.5 * math.log2(v_b / v_cond)
+            if reconciliation is Reconciliation.DIRECT:
+                det_x = u * w * delta / alpha + t
+                e_v = u * beta + t * w
+                trace = u * e_v * (delta / alpha) + u * w * (u * w) + t * u * w * beta + 2.0 * t
+                gap = (delta / alpha) * e_v + (u * t * w * (w - beta) * (w - beta)
+                                              - 2.0 * t * (w - beta) - w * w * beta) / e_v
+                root_disc = u * math.hypot(gap, 2.0 * math.sqrt(t * (w * w - 1.0) * det_e)
+                                           * abs(w - beta) / e_v)
+            else:
+                det_x = beta / v_b
+                trace = u * w * (beta * det_x + 1.0 / v_b) + 2.0 * t * det_x
+                root_disc = u * w * (beta - 1.0) * ((beta + 1.0) / v_b)
+            # nu_plus^2 +/- nu_minus^2 = trace, root_disc; nu_plus * nu_minus = sqrt(det_x det_e).
+            nu_plus = math.sqrt(0.5 * (trace + root_disc))
+            root_det = math.sqrt(det_x) * math.sqrt(det_e)
+        else:
+            # I = log2[V_B^M / V(B^M|A^M)], measured variances (v + 1)/2; both blocks conditioned.
+            s = alpha + 1.0
+            v_cond = u * w + t * (delta + beta) / s
+            i_ab = math.log2((v_b + 1.0) / (v_cond + 1.0))
+            if reconciliation is Reconciliation.DIRECT:
+                root_det = u * w * (delta + beta) / s + t
+                diff = u * (delta + beta - w * s) / s
+            else:
+                s = v_b + 1.0
+                root_det = (u * w * beta + t + beta) / s
+                diff = u * (beta - 1.0) * (w + 1.0) / s
+            nu_plus = _twin_nu_plus(diff, root_det)
+        s_cond = s_e if uncorrelated[reconciliation] else _entropy(nu_plus, root_det)
+        i_eve = s_e - s_cond
+        reports.append(KeyRateReport(i_ab, i_eve, i_ab - i_eve, v_cond, s_e, s_cond))
+    return reports
 
 
 def secret_key_rate(config: ProtocolConfig) -> KeyRateReport:
@@ -148,15 +163,4 @@ def secret_key_rate(config: ProtocolConfig) -> KeyRateReport:
     The report satisfies key_rate = i_ab - i_eve exactly; the value may be
     negative, meaning the attacker's information exceeds the parties'.
     """
-    out = apply_entangling_cloner(config.source, config.channel)
-    i_ab, v_cond = _mutual_info(config.detection, out)
-    s_e, s_cond = _eve_entropies(config, out)
-    i_eve = s_e - s_cond
-    return KeyRateReport(
-        i_ab=i_ab,
-        i_eve=i_eve,
-        key_rate=i_ab - i_eve,
-        v_b_conditional=v_cond,
-        s_e=s_e,
-        s_e_conditional=s_cond,
-    )
+    return key_rates(config.source, config.channel, [(config.detection, config.reconciliation)])[0]

@@ -49,6 +49,10 @@ class DiscordStateParams:
         """(alpha, beta, gamma) = (V + 1, V + 1, V)."""
         return self.v + 1.0, self.v + 1.0, self.v
 
+    def block_invariants(self) -> tuple[float, float, float]:
+        """(alpha, beta, alpha*beta - gamma^2) = (V + 1, V + 1, 2V + 1), the last exact."""
+        return self.v + 1.0, self.v + 1.0, 2.0 * self.v + 1.0
+
 
 @dataclass(frozen=True)
 class EprStateParams:
@@ -71,6 +75,10 @@ class EprStateParams:
         """(alpha, beta, gamma) = (V_E, V_E, sqrt(V_E^2 - 1))."""
         v_e = self.v_e
         return v_e, v_e, math.sqrt(max(v_e * v_e - 1.0, 0.0))
+
+    def block_invariants(self) -> tuple[float, float, float]:
+        """(alpha, beta, alpha*beta - gamma^2) = (V_E, V_E, 1): the state is pure."""
+        return self.v_e, self.v_e, 1.0
 
 
 def make_discord_state(params: DiscordStateParams) -> TwoModeCovariance:

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from .channel import ChannelParams
 from .errors import GaussianStateError, InvalidParameter, NoSignChange, UnknownFigure
-from .keyrate import Detection, ProtocolConfig, Reconciliation, secret_key_rate
+from .keyrate import Detection, Reconciliation, _protocol_pairs, key_rates
 from .states import DiscordStateParams, EprStateParams, discord_and_ppt
 
 CSV_HEADER = "state,V,variance,T,W,detection,reconciliation,discord,ppt_nu,i_ab,i_eve,key_rate,error"
@@ -114,14 +114,35 @@ def _source_params(state: str, variance: float):
     raise InvalidParameter(f"unknown state kind {state!r}")
 
 
+def _point_rows(state, variance, t, w, protocols, clamp_negative, discords) -> list[ResultRow]:
+    """One row per (Detection, Reconciliation) pair at one grid point.
+
+    ``discords`` holds the (discord, PPT eigenvalue) of each source evaluated
+    so far in the caller's loop.  Parameter errors propagate; any other
+    GaussianStateError is recorded in every row.
+    """
+    variance, t, w = float(variance), float(t), float(w)
+    source = _source_params(state, variance)
+    channel = ChannelParams(t=t, w=w)
+    common = dict(state=state, v=variance - 1.0, variance=variance, t=t, w=w)
+    try:
+        if source not in discords:
+            discords[source] = discord_and_ppt(*source.block_form())
+        discord, ppt = discords[source]
+        reports = key_rates(source, channel, protocols)
+    except GaussianStateError as exc:
+        return [ResultRow(detection=det.value, reconciliation=rec.value, discord=None, ppt_nu=None,
+                          i_ab=None, i_eve=None, key_rate=None, error=str(exc), **common)
+                for det, rec in protocols]
+    return [ResultRow(detection=det.value, reconciliation=rec.value, discord=discord, ppt_nu=ppt,
+                      i_ab=r.i_ab, i_eve=r.i_eve,
+                      key_rate=0.0 if clamp_negative and r.key_rate < 0.0 else r.key_rate, **common)
+            for (det, rec), r in zip(protocols, reports)]
+
+
 def evaluate_point(
-    state: str,
-    variance: float,
-    t: float,
-    w: float,
-    detection: Detection,
-    reconciliation: Reconciliation,
-    clamp_negative: bool = False,
+    state: str, variance: float, t: float, w: float, detection: Detection,
+    reconciliation: Reconciliation, clamp_negative: bool = False,
 ) -> ResultRow:
     """Evaluate one grid point into a ResultRow.
 
@@ -129,57 +150,18 @@ def evaluate_point(
     evaluation is recorded in the row's error field instead of aborting a
     sweep.
     """
-    variance, t, w = float(variance), float(t), float(w)
-    source = _source_params(state, variance)
-    config = ProtocolConfig(
-        detection=detection,
-        reconciliation=reconciliation,
-        source=source,
-        channel=ChannelParams(t=t, w=w),
-    )
-    common = dict(
-        state=state,
-        v=variance - 1.0,
-        variance=variance,
-        t=t,
-        w=w,
-        detection=config.detection.value,
-        reconciliation=config.reconciliation.value,
-    )
-    try:
-        discord, ppt = discord_and_ppt(*source.block_form())
-        report = secret_key_rate(config)
-    except GaussianStateError as exc:
-        return ResultRow(
-            discord=None, ppt_nu=None, i_ab=None, i_eve=None, key_rate=None,
-            error=str(exc), **common,
-        )
-    key = report.key_rate
-    if clamp_negative and key < 0.0:
-        key = 0.0
-    return ResultRow(
-        discord=discord,
-        ppt_nu=ppt,
-        i_ab=report.i_ab,
-        i_eve=report.i_eve,
-        key_rate=key,
-        **common,
-    )
+    return _point_rows(state, variance, t, w, _protocol_pairs([detection], [reconciliation]),
+                       clamp_negative, {})[0]
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate the spec's grid, ascending in the swept parameter."""
-    rows = []
+    protocols = _protocol_pairs(spec.detections, spec.reconciliations)
+    rows, discords = [], {}
     for value in grid(spec.lo, spec.hi, spec.steps):
         fixed = {"variance": spec.variance, "t": spec.t, "w": spec.w, spec._swept_field: value}
-        for det in spec.detections:
-            for rec in spec.reconciliations:
-                rows.append(
-                    evaluate_point(
-                        spec.state, fixed["variance"], fixed["t"], fixed["w"],
-                        det, rec, clamp_negative=spec.clamp_negative,
-                    )
-                )
+        rows.extend(_point_rows(spec.state, fixed["variance"], fixed["t"], fixed["w"],
+                                protocols, spec.clamp_negative, discords))
     return rows
 
 
@@ -200,8 +182,20 @@ def rows_to_json(rows: Sequence[ResultRow]) -> str:
 
 
 def _table_to_json(header: Sequence[str], table: Sequence[Sequence]) -> str:
-    """A JSON list with one object per row, keyed by the header."""
-    return json.dumps([dict(zip(header, row)) for row in table], indent=2) + "\n"
+    """A JSON list with one object per row, keyed by the header: json.dumps(..., indent=2).
+
+    The C encoder, which serves only unindented output, encodes all values at
+    once with NUL between them (NUL inside a string is escaped), and each row
+    fills a fixed template.
+    """
+    if not table:
+        return "[]\n"
+    values = json.dumps([v for row in table for v in row], separators=("\0", ":"))[1:-1].split("\0")
+    template = "  {\n" + ",\n".join(
+        "    " + json.dumps(key).replace("%", "%%") + ": %s" for key in header) + "\n  }"
+    n = len(header)
+    return "[\n" + ",\n".join(
+        template % tuple(values[i:i + n]) for i in range(0, len(values), n)) + "\n]\n"
 
 
 def table_to_csv(header: Sequence[str], table: Sequence[Sequence[float]]) -> str:
@@ -268,39 +262,25 @@ def figure_table(
     """
     ChannelParams(t=1.0, w=w)
     if figure_id == "fig2":
-        header = ["vd", "discord", "ppt_nu"]
-        table = []
-        for vd in grid(1.0, 1000.0, steps):
-            table.append([vd, *_discord_state_invariants(vd)])
-        return header, table
+        return ["vd", "discord", "ppt_nu"], [[vd, *_discord_state_invariants(vd)]
+                                             for vd in grid(1.0, 1000.0, steps)]
+    discords: dict = {}
     if figure_id in _FIG_RATE_PRESETS:
-        det, rec = _FIG_RATE_PRESETS[figure_id]
+        protocol = [_FIG_RATE_PRESETS[figure_id]]
         header = ["t"] + [label for _, _, label in _FIG_CURVES]
-        table = []
-        for t in grid(0.0, 1.0, steps):
-            row = [t]
-            for state, variance, _ in _FIG_CURVES:
-                row.append(evaluate_point(state, variance, t, w, det, rec,
-                                          clamp_negative=clamp_negative).key_rate)
-            table.append(row)
-        return header, table
+        return header, [[t] + [_point_rows(state, variance, t, w, protocol, clamp_negative,
+                                           discords)[0].key_rate for state, variance, _ in _FIG_CURVES]
+                        for t in grid(0.0, 1.0, steps)]
     if figure_id in _FIG5_PRESETS:
         det, rec, t_values = _FIG5_PRESETS[figure_id]
         header = ["vd", "discord"] + [f"kr_t{t:g}" for t in t_values]
         table = []
         for vd in grid(1.0, 1000.0, steps):
-            row = [vd, _discord_state_invariants(vd)[0]]
-            for t in t_values:
-                row.append(evaluate_point("discord", vd, t, w, det, rec,
-                                          clamp_negative=clamp_negative).key_rate)
-            table.append(row)
+            cells = [_point_rows("discord", vd, t, w, [(det, rec)], clamp_negative, discords)[0]
+                     for t in t_values]
+            table.append([vd, cells[0].discord] + [cell.key_rate for cell in cells])
         return header, table
     raise UnknownFigure(f"unknown figure id {figure_id!r}; known: {', '.join(FIGURE_IDS)}")
-
-
-def _check_bracket(lo: float, hi: float) -> None:
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise InvalidParameter(f"search bracket must satisfy lo < hi, got [{lo!r}, {hi!r}]")
 
 
 def find_sign_change(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -310,7 +290,8 @@ def find_sign_change(f: Callable[[float], float], lo: float, hi: float) -> float
     root replaces one end of the bracket, and an end kept again has its f value
     halved; the midpoint stands in where rounding puts that root outside.
     """
-    _check_bracket(lo, hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+        raise InvalidParameter(f"search bracket must satisfy lo < hi, got [{lo!r}, {hi!r}]")
     f_lo = f(lo)
     if f_lo == 0.0:
         return lo
@@ -337,9 +318,12 @@ def threshold_on_t(
     state: str, variance: float, w: float, detection: Detection,
     reconciliation: Reconciliation, bracket: tuple[float, float] = _T_BRACKET,
 ) -> float:
-    """Transmission at which the key rate changes sign, to a few ulps."""
+    """Transmission at which the key rate changes sign, to a few ulps; a failed point raises."""
+    source = _source_params(state, float(variance))
+    protocol = _protocol_pairs([detection], [reconciliation])
+
     def key_rate(t: float) -> float:
-        return evaluate_point(state, variance, t, w, detection, reconciliation).key_rate
+        return key_rates(source, ChannelParams(t=t, w=w), protocol)[0].key_rate
 
     return find_sign_change(key_rate, bracket[0], bracket[1])
 
@@ -352,10 +336,14 @@ def threshold_on_discord(
 
     The search runs over the state variance, where the key rate is evaluated,
     and maps the variance it finds to discord, which is monotone in it.
-    Raises InvalidParameter unless the bracket is finite with lo < hi.
+    Raises InvalidParameter unless the bracket is finite with lo < hi, and
+    the error of a point that fails to evaluate.
     """
+    channel = ChannelParams(t=t, w=w)
+    protocol = _protocol_pairs([detection], [reconciliation])
+
     def key_rate(vd: float) -> float:
-        return evaluate_point("discord", vd, t, w, detection, reconciliation).key_rate
+        return key_rates(_source_params("discord", vd), channel, protocol)[0].key_rate
 
     lo, hi = bracket
     step = max(1e-6, (hi - lo) * 1e-6)

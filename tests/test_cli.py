@@ -247,6 +247,30 @@ class TestThreshold:
         assert "key_rate(0.6)" in err
         assert "key_rate(0.9)" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--state", "discord", "--vd", "40", "--w", "1", "--det", "het", "--rec", "rr",
+         "--sweep", "t"),
+        ("--t", "0.75", "--w", "1", "--det", "het", "--rec", "dr", "--sweep", "discord"),
+    ])
+    def test_failed_point_exits_with_its_error(self, capsys, monkeypatch, argv):
+        import discordqkd.sweeps as sweeps_mod
+        from discordqkd import NonPhysicalState
+
+        calls = {"n": 0}
+        real = sweeps_mod.key_rates
+
+        def flaky(*args):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise NonPhysicalState("synthetic failure")
+            return real(*args)
+
+        monkeypatch.setattr(sweeps_mod, "key_rates", flaky)
+        code, out, err = run_cli(capsys, "threshold", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == ["error: non-physical state: synthetic failure"]
+
 
 class TestStateQueries:
     def test_discord_bits(self, capsys):
@@ -415,11 +439,11 @@ class TestConfigFile:
 
 class TestRowErrors:
     def test_failed_points_are_marked_not_fatal(self, capsys):
-        # At W = 1e8 the attacker's conditioned blocks lose their leading
-        # digits to rounding; such points are recorded in their rows.
+        # At V_E = 1e8 the source's own spectrum fails (DegenerateMatrix);
+        # such points are recorded in their rows.
         code, out, _ = run_cli(
             capsys, "sweep", "--sweep", "w", "--range", "1:1e8", "--state", "epr",
-            "--ve", "1e6", "--t", "0.5", "--steps", "5",
+            "--ve", "1e8", "--t", "0.5", "--steps", "5",
         )
         assert code == 0
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
@@ -429,7 +453,7 @@ class TestRowErrors:
         for row in failed:
             assert row[7:12] == [""] * 5
             code, _, err = run_cli(
-                capsys, "eval", "--state", "epr", "--ve", "1e6", "--t", "0.5",
+                capsys, "eval", "--state", "epr", "--ve", "1e8", "--t", "0.5",
                 "--w", row[4], "--det", row[5], "--rec", row[6],
             )
             assert code == 3

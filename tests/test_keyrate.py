@@ -1,16 +1,18 @@
 """Tests for mutual information, attacker information, and key rates."""
 
+import dataclasses
 import decimal
+import itertools
 import math
 
 import pytest
 
 from discordqkd import (
     ChannelParams,
-    DegenerateMatrix,
     Detection,
     DiscordStateParams,
     EprStateParams,
+    GaussianStateError,
     InvalidParameter,
     ProtocolConfig,
     Reconciliation,
@@ -192,13 +194,15 @@ class TestSecretKeyRate:
         )
         assert report.key_rate > 0.0
 
-    def test_vanishing_conditional_variance_is_degenerate(self):
-        # A lossless channel keeps V(B|A) = 1/V_E of a strong EPR source, which
-        # cancels to 0 in V_B - gamma'^2 / V_A.
-        with pytest.raises(DegenerateMatrix, match="conditional variance vanished"):
-            secret_key_rate(_config(
-                Detection.HOMODYNE, Reconciliation.DIRECT, EprStateParams(v_e=1e8), 1.0, 1.0
-            ))
+    def test_strong_source_conditional_variance_is_exact(self):
+        # A lossless channel keeps V(B|A) = 1/V_E of a strong EPR source; from
+        # the source's exact alpha*beta - gamma^2 = 1 nothing cancels.
+        report = secret_key_rate(_config(
+            Detection.HOMODYNE, Reconciliation.DIRECT, EprStateParams(v_e=1e8), 1.0, 1.0
+        ))
+        assert report.v_b_conditional == pytest.approx(1e-8, rel=1e-15)
+        assert report.i_ab == pytest.approx(math.log2(1e8), rel=1e-15)
+        assert report.i_eve == 0.0
 
     def test_end_to_end_golden_row(self):
         report = secret_key_rate(
@@ -334,6 +338,63 @@ class TestProtocolValues:
         )
         assert by_value == by_member
         assert (by_value.detection, by_value.reconciliation) == ("hom", "rr")
+
+
+def _source(state, variance):
+    if state == "discord":
+        return DiscordStateParams(v=variance - 1.0)
+    return EprStateParams(v_e=variance)
+
+
+class TestDecades:
+    """Key rates from the (alpha, beta, alpha*beta - gamma^2) kernel across decades."""
+
+    @pytest.mark.parametrize("state", ["discord", "epr"])
+    def test_finite_report_or_typed_error(self, state):
+        grid = itertools.product(
+            (1.0, 1.5, 1e3, 1e8, 1e15, 1e100, 1e150), (0.0, 1e-12, 0.5, 1 - 1e-6, 1.0), (1.0, 1.3, 1e8),
+            Detection, Reconciliation,
+        )
+        for variance, t, w, det, rec in grid:
+            try:
+                report = secret_key_rate(_config(det, rec, _source(state, variance), t, w))
+            except GaussianStateError:
+                continue
+            assert all(map(math.isfinite, dataclasses.astuple(report))), (variance, t, w, det, rec)
+
+    @pytest.mark.parametrize("state,variance", [
+        *(("discord", v) for v in (1.5, 40.0, 1e3, 1e6, 1e10, 1e15)),
+        *(("epr", v) for v in (1.5, 40.0, 1e3, 1e6, 1e8)),
+    ])
+    def test_matches_reference_within_1e_11_bits(self, state, variance):
+        source = _source(state, variance)
+        exact = decimal.Decimal
+        with decimal.localcontext() as ctx:
+            ctx.prec = 100
+            if state == "discord":
+                reference_source = hp.discord_source(exact(source.v) + 1)
+            else:
+                reference_source = hp.epr_source(exact(source.v_e))
+            grid = itertools.product((0.0, 0.1, 0.5, 0.9, 1.0), (1.0, 1.3, 2.0, 1e4, 1e8),
+                                     Detection, Reconciliation)
+            for t, w, det, rec in grid:
+                report = secret_key_rate(_config(det, rec, source, t, w))
+                want = hp.key_rate(*reference_source, exact(t), exact(w), det.value, rec.value)
+                assert abs(report.key_rate - float(want)) <= 1e-11, (t, w, det, rec)
+
+    @pytest.mark.parametrize("source,t,w,recs", [
+        *((source, t, w, list(Reconciliation) if w == 1.0 else [Reconciliation.DIRECT])
+          for source in (DiscordStateParams(v=0.0), EprStateParams(v_e=1.0))
+          for t in (0.0, 1e-12, 0.5, 1.0) for w in (1.0, 1.3)),
+        *((source, 0.0, 1.0, [Reconciliation.REVERSE])
+          for source in (DiscordStateParams(v=39.0), EprStateParams(v_e=1e8))),
+    ])
+    def test_exact_zeros(self, source, t, w, recs):
+        # A product source, or reverse reconciliation with the whole signal
+        # lost to a vacuum cloner, leaves nothing to share and nothing to learn.
+        for det, rec in itertools.product(Detection, recs):
+            report = secret_key_rate(_config(det, rec, source, t, w))
+            assert (report.i_ab, report.i_eve, report.key_rate) == (0.0, 0.0, 0.0)
 
 
 class TestHighPrecisionReference:

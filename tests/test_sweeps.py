@@ -1,5 +1,6 @@
 """Tests for grid sweeps, file output, figure presets, and threshold search."""
 
+import dataclasses
 import json
 import math
 import os
@@ -149,15 +150,15 @@ class TestRunSweep:
 
     def test_error_rows_keep_sweep_alive(self, monkeypatch):
         calls = {"n": 0}
-        real = sweeps_mod.secret_key_rate
+        real = sweeps_mod.key_rates
 
-        def flaky(config):
+        def flaky(*args):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise NonPhysicalState("synthetic failure")
-            return real(config)
+            return real(*args)
 
-        monkeypatch.setattr(sweeps_mod, "secret_key_rate", flaky)
+        monkeypatch.setattr(sweeps_mod, "key_rates", flaky)
         rows = run_sweep(_spec(steps=3))
         assert len(rows) == 3
         assert rows[0].error == ""
@@ -166,10 +167,10 @@ class TestRunSweep:
         assert rows[2].error == ""
 
     def test_any_evaluation_error_is_recorded(self, monkeypatch):
-        def degenerate(config):
+        def degenerate(*args):
             raise DegenerateMatrix("synthetic degeneracy")
 
-        monkeypatch.setattr(sweeps_mod, "secret_key_rate", degenerate)
+        monkeypatch.setattr(sweeps_mod, "key_rates", degenerate)
         row = evaluate_point(
             "discord", 40.0, 0.5, 1.0, Detection.HOMODYNE, Reconciliation.DIRECT
         )
@@ -212,6 +213,18 @@ class TestSerialization:
         assert len(payload) == 3
         assert payload[0]["state"] == "discord"
         assert payload[1]["key_rate"] == rows[1].key_rate
+
+    @pytest.mark.parametrize("spec", [
+        _spec(steps=5, detections=list(Detection)),
+        # V_E from 1e6 to 1e8: the first point evaluates, the others fail at the source.
+        _spec(parameter="ve", lo=1e6, hi=1e8, steps=5, state="epr", variance=None, t=0.5, w=1.3,
+              detections=list(Detection), reconciliations=list(Reconciliation)),
+    ])
+    def test_json_equals_indented_dumps(self, spec):
+        rows = run_sweep(spec)
+        assert rows_to_json([]) == json.dumps([], indent=2) + "\n"
+        assert rows_to_json(rows) == json.dumps(
+            [dataclasses.asdict(row) for row in rows], indent=2) + "\n"
 
     def test_csv_is_loss_free(self):
         # Re-evaluating a parsed row from its input columns reproduces the
