@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .errors import InvalidParameter
 from .states import DiscordStateParams, EprStateParams
-from .symplectic import I2, Z, TwoModeCovariance, _block_covariance
+from .symplectic import TwoModeCovariance, _block_covariance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,10 @@ class ChannelOutput:
 
 def correlation_matrix(zeta: float, eta: float) -> np.ndarray:
     """Stack (zeta*I over eta*Z) describing two-mode/one-mode correlations."""
+    import numpy as np
+
+    from .symplectic import I2, Z
+
     return np.concatenate((zeta * I2, eta * Z))
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateMatrix,
@@ -21,8 +20,8 @@ from .errors import (
     UnsupportedState,
 )
 
-I2 = np.eye(2)
-Z = np.diag([1.0, -1.0])
+if TYPE_CHECKING:
+    import numpy as np
 
 # Symplectic eigenvalues in [1 - PHYSICAL_TOL, 1) are rounding noise of a
 # pure mode; anything lower is rejected as non-physical.
@@ -32,8 +31,30 @@ _BLOCK_FORM_TOL = 1e-10
 _LN2 = math.log(2.0)
 
 
+def __getattr__(name: str):
+    """I2 = diag(1, 1) and Z = diag(1, -1), read-only, built on first access.
+
+    Python calls this only for names the module does not bind yet (PEP 562),
+    so numpy is imported when the matrix API first needs it.  Both arrays
+    become module globals; the first binding of each wins, so threads that
+    race here still share one array per name.
+    """
+    if name not in ("I2", "Z"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    namespace = globals()
+    if name not in namespace:
+        import numpy as np
+
+        for key, value in (("I2", np.eye(2)), ("Z", np.diag([1.0, -1.0]))):
+            value.setflags(write=False)
+            namespace.setdefault(key, value)
+    return namespace[name]
+
+
 def _as_block(m, name: str) -> tuple[np.ndarray, list[float]]:
     """m as a new read-only 2x2 float array, and its entries in row order."""
+    import numpy as np
+
     arr = np.array(m, dtype=float)
     if arr.shape != (2, 2):
         raise InvalidParameter(f"{name} block must be 2x2, got shape {arr.shape}")
@@ -68,10 +89,14 @@ class TwoModeCovariance:
     @property
     def matrix(self) -> np.ndarray:
         """The assembled symmetric 4x4 matrix."""
+        import numpy as np
+
         return np.block([[self.a, self.c], [self.c.T, self.b]])
 
     @classmethod
     def from_matrix(cls, m) -> "TwoModeCovariance":
+        import numpy as np
+
         arr = np.array(m, dtype=float)
         if arr.shape != (4, 4):
             raise InvalidParameter(f"covariance must be 4x4, got shape {arr.shape}")
@@ -213,7 +238,8 @@ def symplectic_spectrum(sigma: TwoModeCovariance) -> SymplecticSpectrum:
 
 def partial_transpose(sigma: TwoModeCovariance) -> TwoModeCovariance:
     """Sign-flip the Y quadrature of mode 2: B -> ZBZ, C -> CZ."""
-    return TwoModeCovariance(sigma.a, Z @ sigma.b @ Z, sigma.c @ Z)
+    z = __getattr__("Z")
+    return TwoModeCovariance(sigma.a, z @ sigma.b @ z, sigma.c @ z)
 
 
 def ppt_min_eigenvalue(sigma: TwoModeCovariance) -> float:

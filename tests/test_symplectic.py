@@ -24,6 +24,7 @@ from discordqkd import (
     von_neumann_entropy,
 )
 from discordqkd import ChannelParams
+from discordqkd.channel import correlation_matrix
 from discordqkd.errors import ConvergenceFailure
 from discordqkd.symplectic import I2, Z, partial_transpose
 
@@ -182,6 +183,15 @@ class TestPartialTranspose:
         sigma = make_discord_state(DiscordStateParams(v=3.7))
         twice = partial_transpose(partial_transpose(sigma))
         np.testing.assert_array_equal(twice.matrix, sigma.matrix)
+
+
+@pytest.mark.parametrize("constant", [I2, Z], ids=["I2", "Z"])
+def test_shared_constants_are_read_only(constant):
+    sigma = make_discord_state(DiscordStateParams(v=39.0))
+    with pytest.raises(ValueError, match="read-only"):
+        constant[1, 1] = 3.0
+    np.testing.assert_array_equal(partial_transpose(sigma).c, 39.0 * np.eye(2))
+    np.testing.assert_array_equal(correlation_matrix(1.0, 2.0), [[1, 0], [0, 1], [2, 0], [0, -2]])
 
 
 class TestPpt:
