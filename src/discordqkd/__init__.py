@@ -58,9 +58,9 @@ from .symplectic import (
 __version__ = "0.1.0"
 
 # The user-facing API.  Helpers stay importable from their submodules: the
-# matrix constants and partial_transpose (symplectic), correlation_matrix and
-# heterodyne_measured_variance (channel), conditional_variance (keyrate), and
-# the errors only the reference implementations under tests/ raise (errors).
+# matrix constants and partial_transpose (symplectic), correlation_matrix
+# (channel), discord_and_ppt (states), and DegenerateInput, which only the
+# reference implementations under tests/ raise (errors).
 __all__ = [
     "ChannelOutput", "ChannelParams", "apply_entangling_cloner",
     "DegenerateMatrix", "DomainError", "GaussianStateError", "InvalidParameter",

@@ -110,8 +110,3 @@ def apply_entangling_cloner(
         zeta_prime=zeta_prime,
         eta_prime=eta_prime,
     )
-
-
-def heterodyne_measured_variance(v: float) -> float:
-    """Variance recorded by a heterodyne detector on a mode of variance v."""
-    return 0.5 * (v + 1.0)

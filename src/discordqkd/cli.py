@@ -9,9 +9,9 @@ Subcommands:
 * ``discord``    Gaussian discord of a source state
 * ``ppt``        smallest partial-transpose symplectic eigenvalue
 
-Exit codes: 0 success, 2 invalid parameters or unknown figure, 3 a point that
-could not be evaluated (non-physical or degenerate state), 4 I/O failure, 5 no
-sign change in a threshold bracket.
+Exit codes: 0 success, 2 invalid parameters or unknown figure, 3 a point or
+source that could not be evaluated (any other GaussianStateError), 4 I/O
+failure, 5 no sign change in a threshold bracket.
 """
 
 from __future__ import annotations
@@ -21,7 +21,13 @@ import math
 import sys
 from typing import Optional
 
-from .errors import GaussianStateError, InvalidParameter, NonPhysicalState, NoSignChange
+from .errors import (
+    GaussianStateError,
+    InvalidParameter,
+    NonPhysicalState,
+    NoSignChange,
+    UnknownFigure,
+)
 from .keyrate import Detection, Reconciliation
 from .states import discord_and_ppt, gaussian_discord
 from .sweeps import (
@@ -285,6 +291,17 @@ _COMMANDS = {
 }
 
 
+#: (exception type, exit code, its stderr text after "error: "); the first matching row counts.
+_FAILURES = (
+    (NoSignChange, 5, lambda exc: f"no sign change: key_rate({exc.lo!r}) = {exc.f_lo!r}, "
+                                  f"key_rate({exc.hi!r}) = {exc.f_hi!r}"),
+    ((InvalidParameter, UnknownFigure), 2, str),
+    (NonPhysicalState, 3, "non-physical state: {}".format),
+    (GaussianStateError, 3, str),
+    (OSError, 4, "I/O failure: {}".format),
+)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -297,22 +314,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except NoSignChange as exc:
-        print(
-            f"error: no sign change: key_rate({exc.lo!r}) = {exc.f_lo!r}, "
-            f"key_rate({exc.hi!r}) = {exc.f_hi!r}",
-            file=sys.stderr,
-        )
-        return 5
-    except NonPhysicalState as exc:
-        print(f"error: non-physical state: {exc}", file=sys.stderr)
-        return 3
-    except GaussianStateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: I/O failure: {exc}", file=sys.stderr)
-        return 4
+    except (GaussianStateError, OSError) as exc:
+        code, text = next((code, text) for kind, code, text in _FAILURES if isinstance(exc, kind))
+        print(f"error: {text(exc)}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

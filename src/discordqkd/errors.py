@@ -17,10 +17,6 @@ class DegenerateMatrix(GaussianStateError):
     """A covariance matrix has a negative or vanishing determinant structure."""
 
 
-class ConvergenceFailure(GaussianStateError):
-    """The eigenvalue-based symplectic spectrum could not be resolved."""
-
-
 class DomainError(GaussianStateError):
     """An entropy argument lies below the physical threshold nu = 1."""
 

@@ -18,8 +18,8 @@ from typing import Union
 
 from .channel import ChannelParams
 from .errors import InvalidParameter
-from .states import DiscordStateParams, EprStateParams, make_discord_state, make_epr_state
-from .symplectic import TwoModeCovariance, entropy_g
+from .states import DiscordStateParams, EprStateParams, make_source_state  # noqa: F401
+from .symplectic import entropy_g
 
 
 class Detection(str, enum.Enum):
@@ -74,19 +74,6 @@ class KeyRateReport:
     v_b_conditional: float
     s_e: float
     s_e_conditional: float
-
-
-def make_source_state(params: SourceParams) -> TwoModeCovariance:
-    if isinstance(params, DiscordStateParams):
-        return make_discord_state(params)
-    if isinstance(params, EprStateParams):
-        return make_epr_state(params)
-    raise TypeError(f"unsupported source parameters: {params!r}")
-
-
-def conditional_variance(v_x: float, cov_xy: float, v_y: float) -> float:
-    """V(X|Y) = V(X) - |<XY>|^2 / V(Y).  Raises ZeroDivisionError for V(Y) = 0."""
-    return float(v_x) - float(cov_xy) ** 2 / float(v_y)
 
 
 def _entropy(nu_plus: float, root_det: float) -> float:

@@ -81,14 +81,16 @@ class EprStateParams:
         return self.v_e, self.v_e, 1.0
 
 
-def make_discord_state(params: DiscordStateParams) -> TwoModeCovariance:
-    """Covariance of the correlated-displacement state: ((V+1)I, (V+1)I, V*Z)."""
+def make_source_state(params: Union[DiscordStateParams, EprStateParams]) -> TwoModeCovariance:
+    """Covariance (alpha*I, beta*I, gamma*Z) of a source, from its parameters' block_form().
+
+    ((V+1)I, (V+1)I, V*Z) for the discord state, (V_E*I, V_E*I, sqrt(V_E^2-1)*Z)
+    for the EPR state.
+    """
     return _block_covariance(*params.block_form())
 
 
-def make_epr_state(params: EprStateParams) -> TwoModeCovariance:
-    """Covariance of the two-mode squeezed vacuum: (V_E*I, V_E*I, sqrt(V_E^2-1)*Z)."""
-    return _block_covariance(*params.block_form())
+make_discord_state = make_epr_state = make_source_state
 
 
 def discord_and_ppt(alpha: float, beta: float, gamma: float) -> tuple[float, float]:

@@ -245,11 +245,6 @@ _FIG5_PRESETS = {
 FIGURE_IDS = ("fig2",) + tuple(_FIG_RATE_PRESETS) + tuple(_FIG5_PRESETS)
 
 
-def _discord_state_invariants(vd: float) -> tuple[float, float]:
-    """(discord in bits, PPT eigenvalue) of the discord state of variance V_D."""
-    return discord_and_ppt(*DiscordStateParams(v=vd - 1.0).block_form())
-
-
 def figure_table(
     figure_id: str, *, w: float = 1.0, steps: int = FIGURE_STEPS, clamp_negative: bool = False
 ) -> tuple[list[str], list[list[float]]]:
@@ -262,8 +257,9 @@ def figure_table(
     """
     ChannelParams(t=1.0, w=w)
     if figure_id == "fig2":
-        return ["vd", "discord", "ppt_nu"], [[vd, *_discord_state_invariants(vd)]
-                                             for vd in grid(1.0, 1000.0, steps)]
+        return ["vd", "discord", "ppt_nu"], [
+            [vd, *discord_and_ppt(*_source_params("discord", vd).block_form())]
+            for vd in grid(1.0, 1000.0, steps)]
     discords: dict = {}
     if figure_id in _FIG_RATE_PRESETS:
         protocol = [_FIG_RATE_PRESETS[figure_id]]
@@ -357,4 +353,4 @@ def threshold_on_discord(
         lo += step
         step *= 10.0
         vd_star = find_sign_change(key_rate, lo, hi)
-    return _discord_state_invariants(vd_star)[0]
+    return discord_and_ppt(*_source_params("discord", vd_star).block_form())[0]

@@ -107,35 +107,15 @@ class TwoModeCovariance:
             raise InvalidParameter("covariance matrix must be symmetric")
         return cls(arr[:2, :2], arr[2:, 2:], arr[:2, 2:])
 
-    def _entries(self) -> tuple[list[float], float]:
-        """The entries of A, B and C in row order, and the structure tests' tolerance.
-
-        The tolerance is relative to the largest entry.
-        """
-        entries = self.a.ravel().tolist() + self.b.ravel().tolist() + self.c.ravel().tolist()
-        return entries, _BLOCK_FORM_TOL * max(1.0, *map(abs, entries))
-
     def block_form(self) -> tuple[float, float, float]:
         """Return (alpha, beta, gamma) for a state of the form (aI, bI, cZ).
 
         Raises UnsupportedState when the blocks do not have that structure.
         """
-        entries, tol = self._entries()
-        a00, a01, a10, a11, b00, b01, b10, b11, c00, c01, c10, c11 = entries
-        ok = (
-            abs(a00 - a11) <= tol
-            and abs(b00 - b11) <= tol
-            and abs(c00 + c11) <= tol
-            and abs(a01) <= tol
-            and abs(b01) <= tol
-            and abs(c01) <= tol
-            and abs(c10) <= tol
-        )
-        if not ok:
-            raise UnsupportedState(
-                "covariance is not of the (alpha*I, beta*I, gamma*Z) form"
-            )
-        return a00, b00, c00
+        ax, bx, cx, ay, by, cy = entries = _quadrature_entries(self)
+        if max(abs(ax - ay), abs(bx - by), abs(cx + cy)) > _BLOCK_FORM_TOL * max(1.0, *map(abs, entries)):
+            raise UnsupportedState("covariance is not of the (alpha*I, beta*I, gamma*Z) form")
+        return ax, bx, cx
 
 
 def _block_covariance(alpha: float, beta: float, gamma: float) -> TwoModeCovariance:
@@ -187,17 +167,20 @@ def _spectrum_squares(
     hi = 0.5 * (trace + math.sqrt(max(disc, 0.0)))
     if min(ax, bx, ay, by, det_x, det_y) < 0.0 or hi <= 0.0:
         raise DegenerateMatrix("covariance is not positive definite")
+    if not hi < math.inf:
+        raise DegenerateMatrix("squared symplectic eigenvalue overflows the float range")
     return hi, min(det_x * det_y / hi, hi)
 
 
 def _quadrature_entries(sigma: TwoModeCovariance) -> tuple[float, ...]:
     """(ax, bx, cx, ay, by, cy): the X and Y blocks of sigma.
 
-    Raises UnsupportedState when sigma correlates X with Y quadratures.
+    Raises UnsupportedState when sigma correlates X with Y quadratures by
+    more than a tolerance relative to its largest entry.
     """
-    entries, tol = sigma._entries()
+    entries = sigma.a.ravel().tolist() + sigma.b.ravel().tolist() + sigma.c.ravel().tolist()
     ax, a01, _, ay, bx, b01, _, by, cx, c01, c10, cy = entries
-    if max(abs(a01), abs(b01), abs(c01), abs(c10)) > tol:
+    if max(abs(a01), abs(b01), abs(c01), abs(c10)) > _BLOCK_FORM_TOL * max(1.0, *map(abs, entries)):
         raise UnsupportedState("covariance correlates X and Y quadratures")
     return ax, bx, cx, ay, by, cy
 

@@ -24,9 +24,9 @@ import numpy as np
 
 from discordqkd import ChannelParams, DiscordStateParams, EprStateParams
 from discordqkd.errors import (
-    ConvergenceFailure,
     DegenerateInput,
     DegenerateMatrix,
+    GaussianStateError,
     InvalidParameter,
 )
 from discordqkd.symplectic import (
@@ -41,6 +41,10 @@ Z2 = np.diag([1.0, -1.0])
 #: Sign flip of the reflected attacker mode, mapping the oracle's convention
 #: onto the package's stored sigma_E / D matrices.
 FLIP_E_PRIME = np.diag([-1.0, -1.0, 1.0, 1.0])
+
+
+class ConvergenceFailure(GaussianStateError):
+    """The eigenvalue-based symplectic spectrum could not be resolved."""
 
 
 def beam_splitter_outputs(source4: np.ndarray, t: float, w: float):

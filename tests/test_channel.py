@@ -19,7 +19,7 @@ from discordqkd import (
     symplectic_spectrum,
     von_neumann_entropy,
 )
-from discordqkd.channel import correlation_matrix, heterodyne_measured_variance
+from discordqkd.channel import correlation_matrix
 from discordqkd.symplectic import I2, Z
 
 import highprec as hp
@@ -246,11 +246,6 @@ class TestHeterodyneConditioning:
         )
         with pytest.raises(InvalidParameter):
             condition_on_heterodyne(out.sigma_e, out.d_rr, np.diag([2.0, 3.0]))
-
-    def test_measured_variance_map(self):
-        assert heterodyne_measured_variance(1.0) == 1.0
-        assert heterodyne_measured_variance(40.0) == 20.5
-        assert heterodyne_measured_variance(3.0) == 2.0
 
 
 class TestConditioningEntropy:

@@ -7,7 +7,7 @@ import stat
 
 import pytest
 
-from discordqkd import CSV_HEADER, figure_table
+from discordqkd import CSV_HEADER, DegenerateMatrix, NonPhysicalState, figure_table
 from discordqkd.cli import main
 
 import highprec as hp
@@ -82,7 +82,6 @@ class TestEval:
 
     def test_nonphysical_state_exit_code(self, capsys, monkeypatch):
         import discordqkd.cli as cli_mod
-        from discordqkd import NonPhysicalState
         from discordqkd.sweeps import ResultRow
 
         def broken(*args, **kwargs):
@@ -247,14 +246,17 @@ class TestThreshold:
         assert "key_rate(0.6)" in err
         assert "key_rate(0.9)" in err
 
+    @pytest.mark.parametrize("error,line", [
+        (NonPhysicalState, "error: non-physical state: synthetic failure"),
+        (DegenerateMatrix, "error: synthetic failure"),
+    ], ids=["non-physical", "degenerate"])
     @pytest.mark.parametrize("argv", [
         ("--state", "discord", "--vd", "40", "--w", "1", "--det", "het", "--rec", "rr",
          "--sweep", "t"),
         ("--t", "0.75", "--w", "1", "--det", "het", "--rec", "dr", "--sweep", "discord"),
     ])
-    def test_failed_point_exits_with_its_error(self, capsys, monkeypatch, argv):
+    def test_failed_point_exits_with_its_error(self, capsys, monkeypatch, argv, error, line):
         import discordqkd.sweeps as sweeps_mod
-        from discordqkd import NonPhysicalState
 
         calls = {"n": 0}
         real = sweeps_mod.key_rates
@@ -262,14 +264,14 @@ class TestThreshold:
         def flaky(*args):
             calls["n"] += 1
             if calls["n"] == 3:
-                raise NonPhysicalState("synthetic failure")
+                raise error("synthetic failure")
             return real(*args)
 
         monkeypatch.setattr(sweeps_mod, "key_rates", flaky)
         code, out, err = run_cli(capsys, "threshold", *argv)
         assert code == 3
         assert out == ""
-        assert err.splitlines() == ["error: non-physical state: synthetic failure"]
+        assert err.splitlines() == [line]
 
 
 class TestStateQueries:
@@ -458,6 +460,21 @@ class TestRowErrors:
             )
             assert code == 3
             assert row[12] in err
+
+
+class TestExitCodesAgree:
+    # A source that cannot be evaluated: at V_E = 1e8 the rounded EPR covariance
+    # is singular, and at V_D = 1e300 its spectrum overflows.
+    @pytest.mark.parametrize("source", [("--ve", "1e8"), ("--vd", "1e300")], ids=["ve1e8", "vd1e300"])
+    @pytest.mark.parametrize("command", [
+        ("eval", "--t", "0.5", "--w", "1", "--det", "hom", "--rec", "dr"), ("discord",), ("ppt",),
+    ], ids=["eval", "discord", "ppt"])
+    def test_unevaluable_source_exits_3_from_every_command(self, capsys, command, source):
+        code, out, err = run_cli(capsys, *command, *source)
+        assert code == 3
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: ")
 
 
 class TestOutputFiles:

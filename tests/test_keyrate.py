@@ -22,7 +22,6 @@ from discordqkd import (
     make_epr_state,
     secret_key_rate,
 )
-from discordqkd.keyrate import conditional_variance
 
 import highprec as hp
 import oracles
@@ -71,21 +70,11 @@ def _output(source, t, w):
 
 
 class TestConditionalVariance:
-    def test_uncorrelated(self):
-        assert conditional_variance(3.0, 0.0, 5.0) == 3.0
-
-    def test_basic_form(self):
-        assert conditional_variance(20.5, 10.0, 40.0) == pytest.approx(18.0)
-
     def test_epr_transparent_channel(self):
         # V(B|A) = V_E - (V_E^2 - 1)/V_E = 1/V_E for the pure source.
         out = _output(EprStateParams(v_e=40.0), 1.0, 1.0)
-        got = conditional_variance(out.v_b, out.gamma_prime, out.v_a)
+        got = out.v_b - out.gamma_prime**2 / out.v_a
         assert got == pytest.approx(1.0 / 40.0, rel=1e-9)
-
-    def test_zero_reference_variance(self):
-        with pytest.raises(ZeroDivisionError):
-            conditional_variance(1.0, 0.5, 0.0)
 
 
 class TestMutualInformation:

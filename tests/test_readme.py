@@ -63,11 +63,20 @@ def test_library_use_imports_only_public_names():
 
 @pytest.mark.parametrize("module,name", [
     ("symplectic", "I2"), ("symplectic", "Z"), ("symplectic", "partial_transpose"),
-    ("channel", "correlation_matrix"), ("channel", "heterodyne_measured_variance"),
-    ("keyrate", "conditional_variance"),
-    ("errors", "DegenerateInput"), ("errors", "ConvergenceFailure"),
+    ("channel", "correlation_matrix"), ("states", "discord_and_ppt"),
+    ("errors", "DegenerateInput"),
 ])
 def test_helpers_live_in_their_submodules(module, name):
     assert name not in discordqkd.__all__
     assert not hasattr(discordqkd, name)
     assert hasattr(getattr(discordqkd, module), name)
+    assert f"`{module}.{name}`" in README.read_text()
+
+
+@pytest.mark.parametrize("module,name", [
+    ("channel", "heterodyne_measured_variance"), ("keyrate", "conditional_variance"),
+    ("errors", "ConvergenceFailure"),
+])
+def test_removed_helpers_are_gone(module, name):
+    assert not hasattr(getattr(discordqkd, module), name)
+    assert name not in README.read_text()

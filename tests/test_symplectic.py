@@ -25,7 +25,6 @@ from discordqkd import (
 )
 from discordqkd import ChannelParams
 from discordqkd.channel import correlation_matrix
-from discordqkd.errors import ConvergenceFailure
 from discordqkd.symplectic import I2, Z, partial_transpose
 
 import highprec as hp
@@ -75,6 +74,24 @@ class TestTwoModeCovariance:
     def test_blocks_are_read_only(self):
         with pytest.raises(ValueError):
             VACUUM.a[0, 0] = 7.0
+
+    @pytest.mark.parametrize("block,entry", [
+        ("a", (1, 1)), ("b", (1, 1)), ("c", (1, 1)),
+        ("a", (0, 1)), ("b", (0, 1)), ("c", (0, 1)), ("c", (1, 0)),
+    ], ids=["a11", "b11", "c11", "a01", "b01", "c01", "c10"])
+    def test_block_form_tolerance(self, block, entry):
+        # Each structure condition of (alpha*I, beta*I, gamma*Z) holds to 1e-10
+        # of the largest entry, here 40: a 2e-9 shift passes and 8e-9 does not.
+        def shifted(delta):
+            blocks = {"a": 40.0 * I2, "b": 40.0 * I2, "c": 39.0 * Z}
+            blocks[block][entry] += delta
+            if block != "c":
+                blocks[block][entry[::-1]] = blocks[block][entry]
+            return TwoModeCovariance(**blocks)
+
+        assert shifted(2e-9).block_form() == (40.0, 40.0, 39.0)
+        with pytest.raises(UnsupportedState):
+            shifted(8e-9).block_form()
 
 
 class TestSpectrum:
@@ -162,6 +179,12 @@ class TestSpectrum:
             symplectic_spectrum(indefinite)
         with pytest.raises(DegenerateMatrix):
             symplectic_spectrum_oracle(indefinite)
+
+    def test_overflowing_spectrum_is_degenerate(self):
+        # At V = 1e300 the squared eigenvalues overflow: the state cannot be
+        # evaluated, which is not a parameter error.
+        with pytest.raises(DegenerateMatrix, match="overflows"):
+            symplectic_spectrum(make_discord_state(DiscordStateParams(v=1e300)))
 
     def test_spectrum_ordering_validated(self):
         with pytest.raises(InvalidParameter):
@@ -286,6 +309,3 @@ class TestOracleChecks:
             symplectic_spectrum(sigma)
         with pytest.raises(UnsupportedState):
             ppt_min_eigenvalue(sigma)
-
-    def test_convergence_failure_exists(self):
-        assert issubclass(ConvergenceFailure, Exception)
