@@ -65,9 +65,7 @@ def correlation_matrix(zeta: float, eta: float) -> np.ndarray:
     """Stack (zeta*I over eta*Z) describing two-mode/one-mode correlations."""
     import numpy as np
 
-    from .symplectic import I2, Z
-
-    return np.concatenate((zeta * I2, eta * Z))
+    return np.concatenate((zeta * np.eye(2), eta * np.diag([1.0, -1.0])))
 
 
 def apply_entangling_cloner(

@@ -114,30 +114,33 @@ def _source_params(state: str, variance: float):
     raise InvalidParameter(f"unknown state kind {state!r}")
 
 
-def _point_rows(state, variance, t, w, protocols, clamp_negative, discords) -> list[ResultRow]:
-    """One row per (Detection, Reconciliation) pair at one grid point.
+def _source_rows(state, variance, channels, protocols, clamp_negative) -> list[ResultRow]:
+    """One row per (Detection, Reconciliation) pair at each (t, w) of ``channels``, for one source.
 
-    ``discords`` holds the (discord, PPT eigenvalue) of each source evaluated
-    so far in the caller's loop.  Parameter errors propagate; any other
-    GaussianStateError is recorded in every row.
+    The source's (discord, PPT eigenvalue) is computed at the first point, and again at each
+    later point until it evaluates.  Parameter errors propagate; any other GaussianStateError
+    is recorded in every row of its point.
     """
-    variance, t, w = float(variance), float(t), float(w)
+    variance = float(variance)
+    channels = [(float(t), float(w)) for t, w in channels]
     source = _source_params(state, variance)
-    channel = ChannelParams(t=t, w=w)
-    common = dict(state=state, v=variance - 1.0, variance=variance, t=t, w=w)
-    try:
-        if source not in discords:
-            discords[source] = discord_and_ppt(*source.block_form())
-        discord, ppt = discords[source]
-        reports = key_rates(source, channel, protocols)
-    except GaussianStateError as exc:
-        return [ResultRow(detection=det.value, reconciliation=rec.value, discord=None, ppt_nu=None,
-                          i_ab=None, i_eve=None, key_rate=None, error=str(exc), **common)
-                for det, rec in protocols]
-    return [ResultRow(detection=det.value, reconciliation=rec.value, discord=discord, ppt_nu=ppt,
-                      i_ab=r.i_ab, i_eve=r.i_eve,
-                      key_rate=0.0 if clamp_negative and r.key_rate < 0.0 else r.key_rate, **common)
-            for (det, rec), r in zip(protocols, reports)]
+    rows, discord_ppt = [], None
+    for t, w in channels:
+        channel = ChannelParams(t=t, w=w)
+        common = dict(state=state, v=variance - 1.0, variance=variance, t=t, w=w)
+        try:
+            discord_ppt = discord_ppt or discord_and_ppt(*source.block_form())
+            reports = key_rates(source, channel, protocols)
+        except GaussianStateError as exc:
+            rows += [ResultRow(detection=det.value, reconciliation=rec.value, discord=None, ppt_nu=None,
+                               i_ab=None, i_eve=None, key_rate=None, error=str(exc), **common)
+                     for det, rec in protocols]
+            continue
+        rows += [ResultRow(detection=det.value, reconciliation=rec.value, discord=discord_ppt[0],
+                           ppt_nu=discord_ppt[1], i_ab=r.i_ab, i_eve=r.i_eve,
+                           key_rate=0.0 if clamp_negative and r.key_rate < 0.0 else r.key_rate, **common)
+                 for (det, rec), r in zip(protocols, reports)]
+    return rows
 
 
 def evaluate_point(
@@ -150,19 +153,19 @@ def evaluate_point(
     evaluation is recorded in the row's error field instead of aborting a
     sweep.
     """
-    return _point_rows(state, variance, t, w, _protocol_pairs([detection], [reconciliation]),
-                       clamp_negative, {})[0]
+    return _source_rows(state, variance, [(t, w)], _protocol_pairs([detection], [reconciliation]),
+                        clamp_negative)[0]
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate the spec's grid, ascending in the swept parameter."""
     protocols = _protocol_pairs(spec.detections, spec.reconciliations)
-    rows, discords = [], {}
-    for value in grid(spec.lo, spec.hi, spec.steps):
-        fixed = {"variance": spec.variance, "t": spec.t, "w": spec.w, spec._swept_field: value}
-        rows.extend(_point_rows(spec.state, fixed["variance"], fixed["t"], fixed["w"],
-                                protocols, spec.clamp_negative, discords))
-    return rows
+    values = grid(spec.lo, spec.hi, spec.steps)
+    if spec._swept_field == "variance":
+        return [row for value in values for row in
+                _source_rows(spec.state, value, [(spec.t, spec.w)], protocols, spec.clamp_negative)]
+    channels = [(value, spec.w) if spec.parameter == "t" else (spec.t, value) for value in values]
+    return _source_rows(spec.state, spec.variance, channels, protocols, spec.clamp_negative)
 
 
 def _fmt(value) -> str:
@@ -260,22 +263,20 @@ def figure_table(
         return ["vd", "discord", "ppt_nu"], [
             [vd, *discord_and_ppt(*_source_params("discord", vd).block_form())]
             for vd in grid(1.0, 1000.0, steps)]
-    discords: dict = {}
     if figure_id in _FIG_RATE_PRESETS:
         protocol = [_FIG_RATE_PRESETS[figure_id]]
         header = ["t"] + [label for _, _, label in _FIG_CURVES]
-        return header, [[t] + [_point_rows(state, variance, t, w, protocol, clamp_negative,
-                                           discords)[0].key_rate for state, variance, _ in _FIG_CURVES]
-                        for t in grid(0.0, 1.0, steps)]
+        ts = grid(0.0, 1.0, steps)
+        curves = [_source_rows(state, variance, [(t, w) for t in ts], protocol, clamp_negative)
+                  for state, variance, _ in _FIG_CURVES]
+        return header, [[t] + [row.key_rate for row in rows] for t, *rows in zip(ts, *curves)]
     if figure_id in _FIG5_PRESETS:
         det, rec, t_values = _FIG5_PRESETS[figure_id]
         header = ["vd", "discord"] + [f"kr_t{t:g}" for t in t_values]
-        table = []
-        for vd in grid(1.0, 1000.0, steps):
-            cells = [_point_rows("discord", vd, t, w, [(det, rec)], clamp_negative, discords)[0]
-                     for t in t_values]
-            table.append([vd, cells[0].discord] + [cell.key_rate for cell in cells])
-        return header, table
+        sources = [_source_rows("discord", vd, [(t, w) for t in t_values], [(det, rec)], clamp_negative)
+                   for vd in grid(1.0, 1000.0, steps)]
+        return header, [[cells[0].variance, cells[0].discord] + [cell.key_rate for cell in cells]
+                        for cells in sources]
     raise UnknownFigure(f"unknown figure id {figure_id!r}; known: {', '.join(FIGURE_IDS)}")
 
 

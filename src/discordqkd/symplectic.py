@@ -31,26 +31,6 @@ _BLOCK_FORM_TOL = 1e-10
 _LN2 = math.log(2.0)
 
 
-def __getattr__(name: str):
-    """I2 = diag(1, 1) and Z = diag(1, -1), read-only, built on first access.
-
-    Python calls this only for names the module does not bind yet (PEP 562),
-    so numpy is imported when the matrix API first needs it.  Both arrays
-    become module globals; the first binding of each wins, so threads that
-    race here still share one array per name.
-    """
-    if name not in ("I2", "Z"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    namespace = globals()
-    if name not in namespace:
-        import numpy as np
-
-        for key, value in (("I2", np.eye(2)), ("Z", np.diag([1.0, -1.0]))):
-            value.setflags(write=False)
-            namespace.setdefault(key, value)
-    return namespace[name]
-
-
 def _as_block(m, name: str) -> tuple[np.ndarray, list[float]]:
     """m as a new read-only 2x2 float array, and its entries in row order."""
     import numpy as np
@@ -161,8 +141,11 @@ def _spectrum_squares(
     """
     det_x = _det(ax, bx, cx)
     det_y = _det(ay, by, cy)
-    trace = det_x + det_y + (ax - by) * (ay - bx) + (cx + cy) ** 2
-    disc = (ax * ay - bx * by) ** 2 + 4.0 * (ax * cy + cx * by) * (cx * ay + bx * cy)
+    try:
+        trace = det_x + det_y + (ax - by) * (ay - bx) + (cx + cy) ** 2
+        disc = (ax * ay - bx * by) ** 2 + 4.0 * (ax * cy + cx * by) * (cx * ay + bx * cy)
+    except OverflowError:  # float ** raises where * gives inf; the check below reports it
+        trace = disc = math.inf
     # disc >= 0 for any positive semidefinite pair; max() absorbs its last-bit rounding.
     hi = 0.5 * (trace + math.sqrt(max(disc, 0.0)))
     if min(ax, bx, ay, by, det_x, det_y) < 0.0 or hi <= 0.0:
@@ -221,7 +204,7 @@ def symplectic_spectrum(sigma: TwoModeCovariance) -> SymplecticSpectrum:
 
 def partial_transpose(sigma: TwoModeCovariance) -> TwoModeCovariance:
     """Sign-flip the Y quadrature of mode 2: B -> ZBZ, C -> CZ."""
-    z = __getattr__("Z")
+    z, _ = _as_block([[1.0, 0.0], [0.0, -1.0]], "Z")
     return TwoModeCovariance(sigma.a, z @ sigma.b @ z, sigma.c @ z)
 
 

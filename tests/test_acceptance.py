@@ -41,11 +41,10 @@ from discordqkd import (
     threshold_on_t,
     von_neumann_entropy,
 )
-from discordqkd.symplectic import I2
 from discordqkd.sweeps import SweepSpec, find_sign_change
 
 import oracles
-from oracles import condition_on_heterodyne, condition_on_homodyne, symplectic_spectrum_oracle
+from oracles import I2, condition_on_heterodyne, condition_on_homodyne, symplectic_spectrum_oracle
 
 ALL_PROTOCOLS = [(det, rec) for det in Detection for rec in Reconciliation]
 

@@ -20,11 +20,10 @@ from discordqkd import (
     von_neumann_entropy,
 )
 from discordqkd.channel import correlation_matrix
-from discordqkd.symplectic import I2, Z
 
 import highprec as hp
 import oracles
-from oracles import condition_on_heterodyne, condition_on_homodyne, symplectic_spectrum_oracle
+from oracles import I2, Z2 as Z, condition_on_heterodyne, condition_on_homodyne, symplectic_spectrum_oracle
 
 # Frozen from tests/highprec.py (Decimal, 50 digits): discord source with
 # V_D = 40 through T = 0.5, W = 1.

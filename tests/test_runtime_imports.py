@@ -12,10 +12,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from discordqkd import symplectic
-
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 EVAL = ["--state", "discord", "--vd", "40", "--t", "0.9", "--w", "1.3", "--det", "het",
@@ -47,37 +43,10 @@ for argv in json.loads(sys.argv[1]):
     assert code == 0 and out.getvalue(), argv
 assert "numpy" not in sys.modules, "numpy loaded on the evaluation path"
 
-from discordqkd.symplectic import I2, Z
 from discordqkd import DiscordStateParams, make_discord_state
 
 assert make_discord_state(DiscordStateParams(39.0)).matrix.shape == (4, 4)
-assert (I2 * Z).tolist() == [[1.0, 0.0], [0.0, -1.0]]
 assert "numpy" in sys.modules
-"""
-
-
-#: Threads that first read the constants together all get the module's arrays.
-RACE = """
-import sys, threading
-
-sys.setswitchinterval(1e-6)
-from discordqkd import symplectic
-
-barrier = threading.Barrier(8)
-seen = []
-
-def read():
-    barrier.wait()
-    seen.append((symplectic.I2, symplectic.Z))
-
-threads = [threading.Thread(target=read) for _ in range(8)]
-for thread in threads:
-    thread.start()
-for thread in threads:
-    thread.join(timeout=60)
-assert not any(thread.is_alive() for thread in threads)
-assert len(seen) == 8
-assert all(i2 is symplectic.I2 and z is symplectic.Z for i2, z in seen)
 """
 
 
@@ -95,12 +64,3 @@ def test_numpy_loads_only_for_the_matrix_api(tmp_path):
     config.write_text("vd=40\nt=0.9\nw=1\ndet=het\nrec=rr\n")
     _run_fresh(PROGRAM, json.dumps(COMMANDS + [["eval", "--config", str(config)]]), cwd=tmp_path)
 
-
-def test_threads_share_the_constants(tmp_path):
-    _run_fresh(RACE, cwd=tmp_path)
-
-
-def test_module_getattr_serves_only_the_constants():
-    assert not hasattr(symplectic, "no_such_name")
-    with pytest.raises(AttributeError, match="no_such_name"):
-        getattr(symplectic, "no_such_name")

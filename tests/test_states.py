@@ -22,11 +22,12 @@ from discordqkd import (
     symplectic_spectrum,
 )
 from discordqkd.errors import DegenerateInput
-from discordqkd.symplectic import I2, Z
 
 import highprec as hp
 from oracles import (
+    I2,
     SymplecticInvariants,
+    Z2 as Z,
     e_min,
     symplectic_invariants,
     symplectic_spectrum_oracle,
@@ -182,9 +183,8 @@ class TestGaussianDiscord:
 
     def test_uncorrelated_thermal_pair_has_no_discord(self):
         from discordqkd import TwoModeCovariance
-        from discordqkd.symplectic import I2 as eye2
 
-        thermal = TwoModeCovariance(2.0 * eye2, 3.0 * eye2, np.zeros((2, 2)))
+        thermal = TwoModeCovariance(2.0 * I2, 3.0 * I2, np.zeros((2, 2)))
         assert gaussian_discord(thermal) == 0.0
 
     def test_epr_entangled_for_any_squeezing(self):

@@ -7,6 +7,8 @@ import os
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discordqkd import (
     CSV_HEADER,
@@ -29,7 +31,7 @@ from discordqkd import (
     threshold_on_t,
 )
 from discordqkd import sweeps as sweeps_mod
-from discordqkd.sweeps import find_sign_change, table_to_csv, write_text_atomic
+from discordqkd.sweeps import SWEEPABLE, find_sign_change, table_to_csv, write_text_atomic
 
 import highprec as hp
 
@@ -176,6 +178,112 @@ class TestRunSweep:
         )
         assert row.error == "synthetic degeneracy"
         assert (row.discord, row.ppt_nu, row.key_rate) == (None, None, None)
+
+
+def _point_by_point(spec):
+    """The rows of run_sweep(spec), from one evaluate_point call per row.
+
+    A point's protocols are evaluated together, so the first error among its
+    rows is recorded in all of them.
+    """
+    swept = "variance" if spec.parameter in ("vd", "ve") else spec.parameter
+    rows = []
+    for value in grid(spec.lo, spec.hi, spec.steps):
+        point = {"variance": spec.variance, "t": spec.t, "w": spec.w, swept: value}
+        point_rows = [evaluate_point(spec.state, point["variance"], point["t"], point["w"], det, rec,
+                                     clamp_negative=spec.clamp_negative)
+                      for det in spec.detections for rec in spec.reconciliations]
+        error = next((row.error for row in point_rows if row.error), "")
+        rows += [dataclasses.replace(row, discord=None, ppt_nu=None, i_ab=None, i_eve=None,
+                                     key_rate=None, error=error) if error else row
+                 for row in point_rows]
+    return rows
+
+
+_DOMAINS = {"discord": (1.0, 1e300), "epr": (1.0, 1e9), "t": (0.0, 1.0), "w": (1.0, 1e300)}
+
+
+@st.composite
+def _small_specs(draw):
+    parameter = draw(st.sampled_from(SWEEPABLE))
+    state = {"vd": "discord", "ve": "epr"}.get(parameter) or draw(st.sampled_from(["discord", "epr"]))
+    fixed = {"variance": draw(st.floats(*_DOMAINS[state])), "t": draw(st.floats(*_DOMAINS["t"])),
+             "w": draw(st.floats(*_DOMAINS["w"]))}
+    swept = "variance" if parameter in ("vd", "ve") else parameter
+    lo, hi = sorted(draw(st.floats(*_DOMAINS[state if swept == "variance" else swept])) for _ in range(2))
+    return SweepSpec(
+        parameter=parameter, lo=lo, hi=hi, steps=draw(st.integers(2, 9)), state=state,
+        **{**fixed, swept: None},
+        detections=draw(st.lists(st.sampled_from(list(Detection)), min_size=1, max_size=2, unique=True)),
+        reconciliations=draw(st.lists(st.sampled_from(list(Reconciliation)), min_size=1, max_size=2,
+                                      unique=True)),
+        clamp_negative=draw(st.booleans()),
+    )
+
+
+class TestSourceBySource:
+    """Sweeps and figures evaluate one source at a time and give evaluate_point's rows."""
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("parameter,lo,hi,state,variance,t,w,fails", [
+        ("t", 0.0, 1.0, "discord", 40.0, None, 1.3, False),
+        ("t", 0.0, 1.0, "epr", 1e8, None, 1.0, True),
+        ("w", 1.0, 1e300, "discord", 40.0, 0.9, None, True),
+        ("vd", 1.0, 1e300, "discord", None, 0.9, 1.0, True),
+        ("ve", 1.0, 1e9, "epr", None, 0.75, 1.3, True),
+    ], ids=["t", "t-failing-source", "w", "vd", "ve"])
+    def test_sweep_rows_equal_point_rows(self, parameter, lo, hi, state, variance, t, w, fails, clamp):
+        spec = SweepSpec(parameter=parameter, lo=lo, hi=hi, steps=9, state=state, variance=variance,
+                         t=t, w=w, detections=list(Detection), reconciliations=list(Reconciliation),
+                         clamp_negative=clamp)
+        rows = run_sweep(spec)
+        assert rows_to_csv(rows) == rows_to_csv(_point_by_point(spec))
+        assert any(row.error for row in rows) == fails
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(_small_specs())
+    def test_small_sweeps_equal_point_rows(self, spec):
+        assert rows_to_csv(run_sweep(spec)) == rows_to_csv(_point_by_point(spec))
+
+    @pytest.mark.parametrize("figure_id,det,rec", [
+        ("fig3a", "hom", "dr"), ("fig3b", "hom", "rr"), ("fig4a", "het", "dr"), ("fig4b", "het", "rr"),
+        ("fig5a", "hom", "dr"), ("fig5b", "hom", "rr"), ("fig5c", "het", "dr"), ("fig5d", "het", "rr"),
+    ])
+    @pytest.mark.parametrize("w,clamp", [(1.0, False), (1.3, True)])
+    def test_figure_cells_equal_point_rows(self, figure_id, det, rec, w, clamp):
+        header, table = figure_table(figure_id, w=w, steps=7, clamp_negative=clamp)
+        for cells in table:
+            if header[0] == "t":
+                # Columns such as "discord_vd40" and "epr_ve40": one source per curve.
+                for label, cell in zip(header[1:], cells[1:]):
+                    state, variance = label.split("_")
+                    row = evaluate_point(state, float(variance[2:]), cells[0], w, det, rec, clamp)
+                    assert repr(cell) == repr(row.key_rate)
+            else:
+                # Columns "kr_t0.75", ...: one discord source per row.
+                vd, discord = cells[:2]
+                for label, cell in zip(header[2:], cells[2:]):
+                    row = evaluate_point("discord", vd, float(label[4:]), w, det, rec, clamp)
+                    assert (repr(cell), discord) == (repr(row.key_rate), row.discord)
+
+    def test_source_failing_once_is_evaluated_again(self, monkeypatch):
+        spec = _spec(steps=4, detections=list(Detection), reconciliations=list(Reconciliation))
+        expected = run_sweep(spec)
+        calls = []
+        real = sweeps_mod.discord_and_ppt
+
+        def fails_first(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise NonPhysicalState("synthetic discord failure")
+            return real(*args)
+
+        monkeypatch.setattr(sweeps_mod, "discord_and_ppt", fails_first)
+        rows = run_sweep(spec)
+        assert [row.error for row in rows[:4]] == ["synthetic discord failure"] * 4
+        assert all((row.discord, row.ppt_nu, row.key_rate) == (None, None, None) for row in rows[:4])
+        assert rows[4:] == expected[4:]
+        assert len(calls) == 2
 
 
 class TestSerialization:

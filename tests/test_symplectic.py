@@ -25,11 +25,11 @@ from discordqkd import (
 )
 from discordqkd import ChannelParams
 from discordqkd.channel import correlation_matrix
-from discordqkd.symplectic import I2, Z, partial_transpose
+from discordqkd.symplectic import partial_transpose
 
 import highprec as hp
 import oracles
-from oracles import condition_on_homodyne, symplectic_spectrum_oracle
+from oracles import I2, Z2 as Z, condition_on_homodyne, symplectic_spectrum_oracle
 
 VACUUM = TwoModeCovariance(I2, I2, np.zeros((2, 2)))
 
@@ -186,6 +186,12 @@ class TestSpectrum:
         with pytest.raises(DegenerateMatrix, match="overflows"):
             symplectic_spectrum(make_discord_state(DiscordStateParams(v=1e300)))
 
+    @pytest.mark.parametrize("function", [symplectic_spectrum, ppt_min_eigenvalue])
+    def test_overflowing_square_is_degenerate(self, function):
+        # Blocks 1e150 apart: float ** raises OverflowError where * would give inf.
+        with pytest.raises(DegenerateMatrix, match="overflows the float range"):
+            function(TwoModeCovariance(1e150 * I2, I2, 0.0 * I2))
+
     def test_spectrum_ordering_validated(self):
         with pytest.raises(InvalidParameter):
             SymplecticSpectrum(nu_plus=1.0, nu_minus=2.0)
@@ -208,11 +214,8 @@ class TestPartialTranspose:
         np.testing.assert_array_equal(twice.matrix, sigma.matrix)
 
 
-@pytest.mark.parametrize("constant", [I2, Z], ids=["I2", "Z"])
-def test_shared_constants_are_read_only(constant):
+def test_partial_transpose_and_correlation_matrix_values():
     sigma = make_discord_state(DiscordStateParams(v=39.0))
-    with pytest.raises(ValueError, match="read-only"):
-        constant[1, 1] = 3.0
     np.testing.assert_array_equal(partial_transpose(sigma).c, 39.0 * np.eye(2))
     np.testing.assert_array_equal(correlation_matrix(1.0, 2.0), [[1, 0], [0, 1], [2, 0], [0, -2]])
 
