@@ -57,10 +57,10 @@ from .symplectic import (
 
 __version__ = "0.1.0"
 
-# The user-facing API.  Helpers stay importable from their submodules: the
-# matrix constants and partial_transpose (symplectic), correlation_matrix
-# (channel), discord_and_ppt (states), and DegenerateInput, which only the
-# reference implementations under tests/ raise (errors).
+# The user-facing API.  Helpers stay importable from their submodules:
+# partial_transpose (symplectic), correlation_matrix (channel), discord_and_ppt
+# (states), and DegenerateInput, which only the reference implementations under
+# tests/ raise (errors).
 __all__ = [
     "ChannelOutput", "ChannelParams", "apply_entangling_cloner",
     "DegenerateMatrix", "DomainError", "GaussianStateError", "InvalidParameter",

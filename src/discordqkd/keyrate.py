@@ -35,8 +35,8 @@ class Reconciliation(str, enum.Enum):
 SourceParams = Union[DiscordStateParams, EprStateParams]
 
 
-def _protocol_pairs(detections, reconciliations) -> list[tuple[Detection, Reconciliation]]:
-    """Each (detection, reconciliation) pair, detection-major, as members; values like "hom" map."""
+def _protocol(detection, reconciliation) -> tuple[Detection, Reconciliation]:
+    """The (Detection, Reconciliation) members; values like "hom" and "rr" map to them."""
     def member(kind, value):
         if isinstance(value, kind):
             return value
@@ -45,8 +45,7 @@ def _protocol_pairs(detections, reconciliations) -> list[tuple[Detection, Reconc
         except ValueError:
             raise InvalidParameter(
                 f"{kind.__name__.lower()} must be one of {', '.join(kind)}, got {value!r}") from None
-    return [(member(Detection, det), member(Reconciliation, rec))
-            for det in detections for rec in reconciliations]
+    return member(Detection, detection), member(Reconciliation, reconciliation)
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class ProtocolConfig:
     channel: ChannelParams
 
     def __post_init__(self):
-        [(detection, reconciliation)] = _protocol_pairs([self.detection], [self.reconciliation])
+        detection, reconciliation = _protocol(self.detection, self.reconciliation)
         object.__setattr__(self, "detection", detection)
         object.__setattr__(self, "reconciliation", reconciliation)
 
@@ -86,8 +85,9 @@ def _twin_nu_plus(diff: float, det: float) -> float:
     return 0.5 * (abs(diff) + math.hypot(diff, 2.0 * math.sqrt(det)))
 
 
-def key_rates(source: SourceParams, channel: ChannelParams, protocols) -> list[KeyRateReport]:
-    """One KeyRateReport per (Detection, Reconciliation) member pair, in order.
+def key_rate(source: SourceParams, channel: ChannelParams, detection: Detection,
+             reconciliation: Reconciliation) -> KeyRateReport:
+    """The KeyRateReport of one protocol, given as Detection and Reconciliation members.
 
     Only the source's (alpha, beta, delta = alpha*beta - gamma^2) and the channel's (T, W)
     enter.  Each closed form is a sum of positive terms, or a square or product of differences
@@ -100,48 +100,45 @@ def key_rates(source: SourceParams, channel: ChannelParams, protocols) -> list[K
     # The attacker's X block is [[e_v, phi], [phi, W]]; her Y block negates phi.
     det_e = u * w * beta + t
     s_e = _entropy(_twin_nu_plus(u * (beta - w), det_e), det_e)
+    if detection is Detection.HOMODYNE:
+        # I = (1/2) log2[V_B / V(B|A)].  Only the attacker's X block is conditioned.
+        v_cond = u * w + t * delta / alpha
+        i_ab = 0.5 * math.log2(v_b / v_cond)
+        if reconciliation is Reconciliation.DIRECT:
+            det_x = u * w * delta / alpha + t
+            e_v = u * beta + t * w
+            trace = u * e_v * (delta / alpha) + u * w * (u * w) + t * u * w * beta + 2.0 * t
+            gap = (delta / alpha) * e_v + (u * t * w * (w - beta) * (w - beta)
+                                          - 2.0 * t * (w - beta) - w * w * beta) / e_v
+            root_disc = u * math.hypot(gap, 2.0 * math.sqrt(t * (w * w - 1.0) * det_e)
+                                       * abs(w - beta) / e_v)
+        else:
+            det_x = beta / v_b
+            trace = u * w * (beta * det_x + 1.0 / v_b) + 2.0 * t * det_x
+            root_disc = u * w * (beta - 1.0) * ((beta + 1.0) / v_b)
+        # nu_plus^2 +/- nu_minus^2 = trace, root_disc; nu_plus * nu_minus = sqrt(det_x det_e).
+        nu_plus = math.sqrt(0.5 * (trace + root_disc))
+        root_det = math.sqrt(det_x) * math.sqrt(det_e)
+    else:
+        # I = log2[V_B^M / V(B^M|A^M)], measured variances (v + 1)/2; both blocks conditioned.
+        s = alpha + 1.0
+        v_cond = u * w + t * (delta + beta) / s
+        i_ab = math.log2((v_b + 1.0) / (v_cond + 1.0))
+        if reconciliation is Reconciliation.DIRECT:
+            root_det = u * w * (delta + beta) / s + t
+            diff = u * (delta + beta - w * s) / s
+        else:
+            s = v_b + 1.0
+            root_det = (u * w * beta + t + beta) / s
+            diff = u * (beta - 1.0) * (w + 1.0) / s
+        nu_plus = _twin_nu_plus(diff, root_det)
     # A reference uncorrelated with the attacker (zeta = 0 for DR, zeta' =
     # eta' = 0 for RR) tells her nothing: S(E|ref) = S(E) exactly.
-    uncorrelated = {Reconciliation.DIRECT: u * (alpha * beta - delta) == 0.0,
-                    Reconciliation.REVERSE: u * (t * (w - beta) * (w - beta) + w * w - 1.0) == 0.0}
-    reports = []
-    for detection, reconciliation in protocols:
-        if detection is Detection.HOMODYNE:
-            # I = (1/2) log2[V_B / V(B|A)].  Only the attacker's X block is conditioned.
-            v_cond = u * w + t * delta / alpha
-            i_ab = 0.5 * math.log2(v_b / v_cond)
-            if reconciliation is Reconciliation.DIRECT:
-                det_x = u * w * delta / alpha + t
-                e_v = u * beta + t * w
-                trace = u * e_v * (delta / alpha) + u * w * (u * w) + t * u * w * beta + 2.0 * t
-                gap = (delta / alpha) * e_v + (u * t * w * (w - beta) * (w - beta)
-                                              - 2.0 * t * (w - beta) - w * w * beta) / e_v
-                root_disc = u * math.hypot(gap, 2.0 * math.sqrt(t * (w * w - 1.0) * det_e)
-                                           * abs(w - beta) / e_v)
-            else:
-                det_x = beta / v_b
-                trace = u * w * (beta * det_x + 1.0 / v_b) + 2.0 * t * det_x
-                root_disc = u * w * (beta - 1.0) * ((beta + 1.0) / v_b)
-            # nu_plus^2 +/- nu_minus^2 = trace, root_disc; nu_plus * nu_minus = sqrt(det_x det_e).
-            nu_plus = math.sqrt(0.5 * (trace + root_disc))
-            root_det = math.sqrt(det_x) * math.sqrt(det_e)
-        else:
-            # I = log2[V_B^M / V(B^M|A^M)], measured variances (v + 1)/2; both blocks conditioned.
-            s = alpha + 1.0
-            v_cond = u * w + t * (delta + beta) / s
-            i_ab = math.log2((v_b + 1.0) / (v_cond + 1.0))
-            if reconciliation is Reconciliation.DIRECT:
-                root_det = u * w * (delta + beta) / s + t
-                diff = u * (delta + beta - w * s) / s
-            else:
-                s = v_b + 1.0
-                root_det = (u * w * beta + t + beta) / s
-                diff = u * (beta - 1.0) * (w + 1.0) / s
-            nu_plus = _twin_nu_plus(diff, root_det)
-        s_cond = s_e if uncorrelated[reconciliation] else _entropy(nu_plus, root_det)
-        i_eve = s_e - s_cond
-        reports.append(KeyRateReport(i_ab, i_eve, i_ab - i_eve, v_cond, s_e, s_cond))
-    return reports
+    uncorrelated = u * (alpha * beta - delta if reconciliation is Reconciliation.DIRECT
+                        else t * (w - beta) * (w - beta) + w * w - 1.0) == 0.0
+    s_cond = s_e if uncorrelated else _entropy(nu_plus, root_det)
+    i_eve = s_e - s_cond
+    return KeyRateReport(i_ab, i_eve, i_ab - i_eve, v_cond, s_e, s_cond)
 
 
 def secret_key_rate(config: ProtocolConfig) -> KeyRateReport:
@@ -150,4 +147,4 @@ def secret_key_rate(config: ProtocolConfig) -> KeyRateReport:
     The report satisfies key_rate = i_ab - i_eve exactly; the value may be
     negative, meaning the attacker's information exceeds the parties'.
     """
-    return key_rates(config.source, config.channel, [(config.detection, config.reconciliation)])[0]
+    return key_rate(config.source, config.channel, config.detection, config.reconciliation)

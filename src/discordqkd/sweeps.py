@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 from .channel import ChannelParams
 from .errors import GaussianStateError, InvalidParameter, NoSignChange, UnknownFigure
-from .keyrate import Detection, Reconciliation, _protocol_pairs, key_rates
+from .keyrate import Detection, Reconciliation, _protocol, key_rate
 from .states import DiscordStateParams, EprStateParams, discord_and_ppt
 
 CSV_HEADER = "state,V,variance,T,W,detection,reconciliation,discord,ppt_nu,i_ab,i_eve,key_rate,error"
@@ -80,7 +81,7 @@ class SweepSpec:
             raise InvalidParameter(f"cannot sweep {self.parameter!r} for state {self.state!r}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or self.lo > self.hi:
             raise InvalidParameter(f"sweep range must satisfy lo <= hi, got [{self.lo!r}, {self.hi!r}]")
-        if self.steps < 2:
+        if _steps(self.steps) < 2:
             raise InvalidParameter(f"sweep needs at least 2 steps, got {self.steps!r}")
         if not self.detections or not self.reconciliations:
             raise InvalidParameter("at least one detection and one reconciliation required")
@@ -96,9 +97,16 @@ class SweepSpec:
         return "variance" if self.parameter in ("vd", "ve") else self.parameter
 
 
+def _steps(steps) -> int:
+    try:
+        return operator.index(steps)
+    except TypeError:
+        raise InvalidParameter(f"steps must be an integer, got {steps!r}") from None
+
+
 def grid(lo: float, hi: float, steps: int) -> list[float]:
     """Ascending uniform grid with exact endpoints."""
-    if steps < 2:
+    if (steps := _steps(steps)) < 2:
         raise InvalidParameter("grid needs at least 2 steps")
     step = (hi - lo) / (steps - 1)
     values = [lo + i * step for i in range(steps)]
@@ -117,29 +125,29 @@ def _source_params(state: str, variance: float):
 def _source_rows(state, variance, channels, protocols, clamp_negative) -> list[ResultRow]:
     """One row per (Detection, Reconciliation) pair at each (t, w) of ``channels``, for one source.
 
-    The source's (discord, PPT eigenvalue) is computed at the first point, and again at each
-    later point until it evaluates.  Parameter errors propagate; any other GaussianStateError
-    is recorded in every row of its point.
+    Parameter errors propagate.  Any other GaussianStateError is recorded: the source's
+    (discord, PPT eigenvalue), computed once, in every row, and a key rate's in its own row.
     """
     variance = float(variance)
-    channels = [(float(t), float(w)) for t, w in channels]
+    channels = [ChannelParams(t=t, w=w) for t, w in channels]
     source = _source_params(state, variance)
-    rows, discord_ppt = [], None
-    for t, w in channels:
-        channel = ChannelParams(t=t, w=w)
-        common = dict(state=state, v=variance - 1.0, variance=variance, t=t, w=w)
-        try:
-            discord_ppt = discord_ppt or discord_and_ppt(*source.block_form())
-            reports = key_rates(source, channel, protocols)
-        except GaussianStateError as exc:
-            rows += [ResultRow(detection=det.value, reconciliation=rec.value, discord=None, ppt_nu=None,
-                               i_ab=None, i_eve=None, key_rate=None, error=str(exc), **common)
-                     for det, rec in protocols]
-            continue
-        rows += [ResultRow(detection=det.value, reconciliation=rec.value, discord=discord_ppt[0],
-                           ppt_nu=discord_ppt[1], i_ab=r.i_ab, i_eve=r.i_eve,
-                           key_rate=0.0 if clamp_negative and r.key_rate < 0.0 else r.key_rate, **common)
-                 for (det, rec), r in zip(protocols, reports)]
+    try:
+        discord_ppt, source_error = discord_and_ppt(*source.block_form()), ""
+    except GaussianStateError as exc:
+        source_error = str(exc)
+    rows = []
+    for channel in channels:
+        for det, rec in protocols:
+            cells, error = (None,) * 5, source_error
+            if not error:
+                try:
+                    r = key_rate(source, channel, det, rec)
+                    cells = (*discord_ppt, r.i_ab, r.i_eve,
+                             0.0 if clamp_negative and r.key_rate < 0.0 else r.key_rate)
+                except GaussianStateError as exc:
+                    error = str(exc)
+            rows.append(ResultRow(state, variance - 1.0, variance, channel.t, channel.w, det.value,
+                                  rec.value, *cells, error))
     return rows
 
 
@@ -153,13 +161,13 @@ def evaluate_point(
     evaluation is recorded in the row's error field instead of aborting a
     sweep.
     """
-    return _source_rows(state, variance, [(t, w)], _protocol_pairs([detection], [reconciliation]),
+    return _source_rows(state, variance, [(t, w)], [_protocol(detection, reconciliation)],
                         clamp_negative)[0]
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate the spec's grid, ascending in the swept parameter."""
-    protocols = _protocol_pairs(spec.detections, spec.reconciliations)
+    protocols = [_protocol(det, rec) for det in spec.detections for rec in spec.reconciliations]
     values = grid(spec.lo, spec.hi, spec.steps)
     if spec._swept_field == "variance":
         return [row for value in values for row in
@@ -316,13 +324,9 @@ def threshold_on_t(
     reconciliation: Reconciliation, bracket: tuple[float, float] = _T_BRACKET,
 ) -> float:
     """Transmission at which the key rate changes sign, to a few ulps; a failed point raises."""
-    source = _source_params(state, float(variance))
-    protocol = _protocol_pairs([detection], [reconciliation])
-
-    def key_rate(t: float) -> float:
-        return key_rates(source, ChannelParams(t=t, w=w), protocol)[0].key_rate
-
-    return find_sign_change(key_rate, bracket[0], bracket[1])
+    source, (det, rec) = _source_params(state, float(variance)), _protocol(detection, reconciliation)
+    return find_sign_change(lambda t: key_rate(source, ChannelParams(t=t, w=w), det, rec).key_rate,
+                            bracket[0], bracket[1])
 
 
 def threshold_on_discord(
@@ -336,22 +340,21 @@ def threshold_on_discord(
     Raises InvalidParameter unless the bracket is finite with lo < hi, and
     the error of a point that fails to evaluate.
     """
-    channel = ChannelParams(t=t, w=w)
-    protocol = _protocol_pairs([detection], [reconciliation])
+    channel, (det, rec) = ChannelParams(t=t, w=w), _protocol(detection, reconciliation)
 
-    def key_rate(vd: float) -> float:
-        return key_rates(_source_params("discord", vd), channel, protocol)[0].key_rate
+    def rate(vd: float) -> float:
+        return key_rate(_source_params("discord", vd), channel, det, rec).key_rate
 
     lo, hi = bracket
     step = max(1e-6, (hi - lo) * 1e-6)
-    vd_star = find_sign_change(key_rate, lo, hi)
+    vd_star = find_sign_change(rate, lo, hi)
     # V_D = 1 is a product state whose key rate vanishes identically; step past
     # that degenerate zero instead of mistaking it for the threshold.  Only a
     # zero at lo makes the search return lo, as its root lies strictly inside.
     while vd_star == lo:
         if lo + step >= hi:
-            raise NoSignChange(lo, hi, 0.0, key_rate(hi))
+            raise NoSignChange(lo, hi, 0.0, rate(hi))
         lo += step
         step *= 10.0
-        vd_star = find_sign_change(key_rate, lo, hi)
+        vd_star = find_sign_change(rate, lo, hi)
     return discord_and_ppt(*_source_params("discord", vd_star).block_form())[0]

@@ -259,7 +259,7 @@ class TestThreshold:
         import discordqkd.sweeps as sweeps_mod
 
         calls = {"n": 0}
-        real = sweeps_mod.key_rates
+        real = sweeps_mod.key_rate
 
         def flaky(*args):
             calls["n"] += 1
@@ -267,7 +267,7 @@ class TestThreshold:
                 raise error("synthetic failure")
             return real(*args)
 
-        monkeypatch.setattr(sweeps_mod, "key_rates", flaky)
+        monkeypatch.setattr(sweeps_mod, "key_rate", flaky)
         code, out, err = run_cli(capsys, "threshold", *argv)
         assert code == 3
         assert out == ""

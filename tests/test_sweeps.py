@@ -58,6 +58,8 @@ class TestGrid:
     def test_too_few_steps(self):
         with pytest.raises(InvalidParameter):
             grid(0.0, 1.0, 1)
+        with pytest.raises(InvalidParameter, match="steps must be an integer"):
+            figure_table("fig3b", steps=2.5)
 
 
 class TestEvaluatePoint:
@@ -123,6 +125,10 @@ class TestRunSweep:
             _spec(parameter="vd", state="epr")
         with pytest.raises(InvalidParameter):
             _spec(steps=1)
+        with pytest.raises(InvalidParameter, match="steps must be an integer"):
+            _spec(steps=3.0)
+        with pytest.raises(InvalidParameter, match="steps must be an integer"):
+            _spec(steps="5")
         with pytest.raises(InvalidParameter):
             run_sweep(_spec(w=None))
 
@@ -152,7 +158,7 @@ class TestRunSweep:
 
     def test_error_rows_keep_sweep_alive(self, monkeypatch):
         calls = {"n": 0}
-        real = sweeps_mod.key_rates
+        real = sweeps_mod.key_rate
 
         def flaky(*args):
             calls["n"] += 1
@@ -160,7 +166,7 @@ class TestRunSweep:
                 raise NonPhysicalState("synthetic failure")
             return real(*args)
 
-        monkeypatch.setattr(sweeps_mod, "key_rates", flaky)
+        monkeypatch.setattr(sweeps_mod, "key_rate", flaky)
         rows = run_sweep(_spec(steps=3))
         assert len(rows) == 3
         assert rows[0].error == ""
@@ -172,7 +178,7 @@ class TestRunSweep:
         def degenerate(*args):
             raise DegenerateMatrix("synthetic degeneracy")
 
-        monkeypatch.setattr(sweeps_mod, "key_rates", degenerate)
+        monkeypatch.setattr(sweeps_mod, "key_rate", degenerate)
         row = evaluate_point(
             "discord", 40.0, 0.5, 1.0, Detection.HOMODYNE, Reconciliation.DIRECT
         )
@@ -181,22 +187,13 @@ class TestRunSweep:
 
 
 def _point_by_point(spec):
-    """The rows of run_sweep(spec), from one evaluate_point call per row.
-
-    A point's protocols are evaluated together, so the first error among its
-    rows is recorded in all of them.
-    """
     swept = "variance" if spec.parameter in ("vd", "ve") else spec.parameter
     rows = []
     for value in grid(spec.lo, spec.hi, spec.steps):
         point = {"variance": spec.variance, "t": spec.t, "w": spec.w, swept: value}
-        point_rows = [evaluate_point(spec.state, point["variance"], point["t"], point["w"], det, rec,
-                                     clamp_negative=spec.clamp_negative)
-                      for det in spec.detections for rec in spec.reconciliations]
-        error = next((row.error for row in point_rows if row.error), "")
-        rows += [dataclasses.replace(row, discord=None, ppt_nu=None, i_ab=None, i_eve=None,
-                                     key_rate=None, error=error) if error else row
-                 for row in point_rows]
+        rows += [evaluate_point(spec.state, point["variance"], point["t"], point["w"], det, rec,
+                                clamp_negative=spec.clamp_negative)
+                 for det in spec.detections for rec in spec.reconciliations]
     return rows
 
 
@@ -266,24 +263,24 @@ class TestSourceBySource:
                     row = evaluate_point("discord", vd, float(label[4:]), w, det, rec, clamp)
                     assert (repr(cell), discord) == (repr(row.key_rate), row.discord)
 
-    def test_source_failing_once_is_evaluated_again(self, monkeypatch):
-        spec = _spec(steps=4, detections=list(Detection), reconciliations=list(Reconciliation))
-        expected = run_sweep(spec)
+    @pytest.mark.parametrize("overrides,sources", [
+        (dict(), 1),
+        (dict(parameter="vd", lo=1.0, hi=1000.0, variance=None, t=0.9), 4),
+    ], ids=["t", "vd"])
+    def test_failing_source_is_evaluated_once(self, monkeypatch, overrides, sources):
+        spec = _spec(steps=4, detections=list(Detection), reconciliations=list(Reconciliation),
+                     **overrides)
         calls = []
-        real = sweeps_mod.discord_and_ppt
 
-        def fails_first(*args):
+        def fails(*args):
             calls.append(args)
-            if len(calls) == 1:
-                raise NonPhysicalState("synthetic discord failure")
-            return real(*args)
+            raise NonPhysicalState("synthetic discord failure")
 
-        monkeypatch.setattr(sweeps_mod, "discord_and_ppt", fails_first)
+        monkeypatch.setattr(sweeps_mod, "discord_and_ppt", fails)
         rows = run_sweep(spec)
-        assert [row.error for row in rows[:4]] == ["synthetic discord failure"] * 4
-        assert all((row.discord, row.ppt_nu, row.key_rate) == (None, None, None) for row in rows[:4])
-        assert rows[4:] == expected[4:]
-        assert len(calls) == 2
+        assert [row.error for row in rows] == ["synthetic discord failure"] * 16
+        assert all((row.discord, row.ppt_nu, row.key_rate) == (None, None, None) for row in rows)
+        assert len(calls) == sources
 
 
 class TestSerialization:
