@@ -34,10 +34,7 @@ class NoSignChange(GaussianStateError):
 
     def __init__(self, lo: float, hi: float, f_lo: float, f_hi: float):
         self.lo, self.hi, self.f_lo, self.f_hi = lo, hi, f_lo, f_hi
-        super().__init__(
-            f"no sign change on bracket [{lo!r}, {hi!r}]: "
-            f"f(lo)={f_lo!r}, f(hi)={f_hi!r}"
-        )
+        super().__init__(f"no sign change: key_rate({lo!r}) = {f_lo!r}, key_rate({hi!r}) = {f_hi!r}")
 
 
 class UnknownFigure(GaussianStateError):

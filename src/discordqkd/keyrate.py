@@ -22,30 +22,25 @@ from .states import DiscordStateParams, EprStateParams, make_source_state  # noq
 from .symplectic import entropy_g
 
 
-class Detection(str, enum.Enum):
+class _Choice(str, enum.Enum):
+    """A protocol choice: calling the class maps a member or its value to the member."""
+
+    @classmethod
+    def _missing_(cls, value):
+        raise InvalidParameter(f"{cls.__name__.lower()} must be one of {', '.join(cls)}, got {value!r}")
+
+
+class Detection(_Choice):
     HOMODYNE = "hom"
     HETERODYNE = "het"
 
 
-class Reconciliation(str, enum.Enum):
+class Reconciliation(_Choice):
     DIRECT = "dr"
     REVERSE = "rr"
 
 
 SourceParams = Union[DiscordStateParams, EprStateParams]
-
-
-def _protocol(detection, reconciliation) -> tuple[Detection, Reconciliation]:
-    """The (Detection, Reconciliation) members; values like "hom" and "rr" map to them."""
-    def member(kind, value):
-        if isinstance(value, kind):
-            return value
-        try:
-            return kind(value)
-        except ValueError:
-            raise InvalidParameter(
-                f"{kind.__name__.lower()} must be one of {', '.join(kind)}, got {value!r}") from None
-    return member(Detection, detection), member(Reconciliation, reconciliation)
 
 
 @dataclass(frozen=True)
@@ -58,9 +53,8 @@ class ProtocolConfig:
     channel: ChannelParams
 
     def __post_init__(self):
-        detection, reconciliation = _protocol(self.detection, self.reconciliation)
-        object.__setattr__(self, "detection", detection)
-        object.__setattr__(self, "reconciliation", reconciliation)
+        object.__setattr__(self, "detection", Detection(self.detection))
+        object.__setattr__(self, "reconciliation", Reconciliation(self.reconciliation))
 
 
 @dataclass(frozen=True)
@@ -87,12 +81,14 @@ def _twin_nu_plus(diff: float, det: float) -> float:
 
 def key_rate(source: SourceParams, channel: ChannelParams, detection: Detection,
              reconciliation: Reconciliation) -> KeyRateReport:
-    """The KeyRateReport of one protocol, given as Detection and Reconciliation members.
+    """The KeyRateReport of one protocol, given as Detection and Reconciliation members or values.
 
     Only the source's (alpha, beta, delta = alpha*beta - gamma^2) and the channel's (T, W)
     enter.  Each closed form is a sum of positive terms, or a square or product of differences
     that vanish with what they give, so nothing cancels (tests/test_identities.py derives them).
     """
+    if type(detection) is not Detection or type(reconciliation) is not Reconciliation:
+        detection, reconciliation = Detection(detection), Reconciliation(reconciliation)
     alpha, beta, delta = source.block_invariants()
     t, w = channel.t, channel.w
     u = 1.0 - t

@@ -32,7 +32,11 @@ PRODUCT_STATE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DiscordStateParams:
-    """Displacement-noise variance V >= 0; the diagonal variance is V + 1."""
+    """Displacement-noise variance V >= 0 with 3V + 2 finite; the diagonal variance is V + 1.
+
+    The key-rate kernel forms (alpha*beta - gamma^2) + beta = 3V + 2, so V stops below
+    about 5.99e307.
+    """
 
     v: float
 
@@ -40,6 +44,8 @@ class DiscordStateParams:
         object.__setattr__(self, "v", float(self.v))
         if not math.isfinite(self.v) or self.v < 0.0:
             raise InvalidParameter(f"displacement noise must satisfy V = V_D - 1 >= 0, got {self.v!r}")
+        if not math.isfinite(3.0 * self.v + 2.0):
+            raise InvalidParameter(f"displacement noise must keep 3V + 2 finite, got {self.v!r}")
 
     @property
     def v_d(self) -> float:

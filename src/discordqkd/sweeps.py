@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from .channel import ChannelParams
 from .errors import GaussianStateError, InvalidParameter, NoSignChange, UnknownFigure
-from .keyrate import Detection, Reconciliation, _protocol, key_rate
+from .keyrate import Detection, Reconciliation, key_rate
 from .states import DiscordStateParams, EprStateParams, discord_and_ppt
 
 CSV_HEADER = "state,V,variance,T,W,detection,reconciliation,discord,ppt_nu,i_ab,i_eve,key_rate,error"
@@ -79,7 +79,11 @@ class SweepSpec:
             self.parameter == "ve" and self.state != "epr"
         ):
             raise InvalidParameter(f"cannot sweep {self.parameter!r} for state {self.state!r}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or self.lo > self.hi:
+        try:
+            finite = math.isfinite(self.lo) and math.isfinite(self.hi)
+        except TypeError:
+            finite = False
+        if not finite or self.lo > self.hi:
             raise InvalidParameter(f"sweep range must satisfy lo <= hi, got [{self.lo!r}, {self.hi!r}]")
         if _steps(self.steps) < 2:
             raise InvalidParameter(f"sweep needs at least 2 steps, got {self.steps!r}")
@@ -161,13 +165,14 @@ def evaluate_point(
     evaluation is recorded in the row's error field instead of aborting a
     sweep.
     """
-    return _source_rows(state, variance, [(t, w)], [_protocol(detection, reconciliation)],
-                        clamp_negative)[0]
+    return _source_rows(state, variance, [(t, w)],
+                        [(Detection(detection), Reconciliation(reconciliation))], clamp_negative)[0]
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate the spec's grid, ascending in the swept parameter."""
-    protocols = [_protocol(det, rec) for det in spec.detections for rec in spec.reconciliations]
+    protocols = [(Detection(det), Reconciliation(rec))
+                 for det in spec.detections for rec in spec.reconciliations]
     values = grid(spec.lo, spec.hi, spec.steps)
     if spec._swept_field == "variance":
         return [row for value in values for row in
@@ -324,7 +329,8 @@ def threshold_on_t(
     reconciliation: Reconciliation, bracket: tuple[float, float] = _T_BRACKET,
 ) -> float:
     """Transmission at which the key rate changes sign, to a few ulps; a failed point raises."""
-    source, (det, rec) = _source_params(state, float(variance)), _protocol(detection, reconciliation)
+    source = _source_params(state, float(variance))
+    det, rec = Detection(detection), Reconciliation(reconciliation)
     return find_sign_change(lambda t: key_rate(source, ChannelParams(t=t, w=w), det, rec).key_rate,
                             bracket[0], bracket[1])
 
@@ -340,7 +346,7 @@ def threshold_on_discord(
     Raises InvalidParameter unless the bracket is finite with lo < hi, and
     the error of a point that fails to evaluate.
     """
-    channel, (det, rec) = ChannelParams(t=t, w=w), _protocol(detection, reconciliation)
+    channel, det, rec = ChannelParams(t=t, w=w), Detection(detection), Reconciliation(reconciliation)
 
     def rate(vd: float) -> float:
         return key_rate(_source_params("discord", vd), channel, det, rec).key_rate

@@ -1,13 +1,17 @@
 """Tests for the command-line interface: flags, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import stat
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from discordqkd import CSV_HEADER, DegenerateMatrix, NonPhysicalState, figure_table
+from discordqkd import CSV_HEADER, FIGURE_IDS, DegenerateMatrix, NonPhysicalState, figure_table
 from discordqkd.cli import main
 
 import highprec as hp
@@ -98,7 +102,7 @@ class TestEval:
             "--w", "1", "--det", "hom", "--rec", "dr",
         )
         assert code == 3
-        assert "non-physical" in err
+        assert err.splitlines() == ["error: synthetic failure"]
 
 
 class TestSweep:
@@ -171,6 +175,19 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert f"{flag} is only valid" in err
 
+    @pytest.mark.parametrize("text,code", [
+        ("0.5:0.5", 0), ("0.8:0.2", 2), ("nan:1", 2), ("0:inf", 2), ("0:", 2), ("0.5", 2),
+    ])
+    def test_range_rules_are_the_librarys(self, capsys, text, code):
+        argv = ("sweep", "--sweep", "t", "--steps", "3", "--vd", "40", "--w", "1",
+                "--det", "hom", "--rec", "rr")
+        got, out, err = run_cli(capsys, *argv, "--range", text)
+        assert got == code
+        if code == 0:
+            assert out.splitlines()[1:] == 3 * [out.splitlines()[1]]
+        else:
+            assert out == "" and err.startswith("error: ")
+
     def test_clamp_negative_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--sweep", "t", "--range", "0.1:0.4", "--steps", "4",
@@ -237,6 +254,17 @@ class TestThreshold:
         assert code == 0
         assert float(out.strip()) == pytest.approx(0.213, abs=2e-3)
 
+    def test_bracket_past_the_discord_state_domain(self, capsys):
+        # At V_D = 1.7e308 the kernel's 3V + 2 overflows: the search stops with one line.
+        code, out, err = run_cli(
+            capsys, "threshold", "--sweep", "discord", "--range", "1:1.7e308", "--t", "0.75",
+            "--w", "1", "--det", "het", "--rec", "dr",
+        )
+        assert code in (2, 3)
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: ")
+
     def test_no_sign_change_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys, "threshold", "--state", "discord", "--vd", "40", "--w", "1",
@@ -247,7 +275,7 @@ class TestThreshold:
         assert "key_rate(0.9)" in err
 
     @pytest.mark.parametrize("error,line", [
-        (NonPhysicalState, "error: non-physical state: synthetic failure"),
+        (NonPhysicalState, "error: synthetic failure"),
         (DegenerateMatrix, "error: synthetic failure"),
     ], ids=["non-physical", "degenerate"])
     @pytest.mark.parametrize("argv", [
@@ -462,19 +490,27 @@ class TestRowErrors:
             assert row[12] in err
 
 
+_SOURCE_COMMANDS = [
+    ("eval", "--t", "0.5", "--w", "1", "--det", "hom", "--rec", "dr"), ("discord",), ("ppt",),
+]
+
+
 class TestExitCodesAgree:
     # A source that cannot be evaluated: at V_E = 1e8 the rounded EPR covariance
     # is singular, and at V_D = 1e300 its spectrum overflows.
     @pytest.mark.parametrize("source", [("--ve", "1e8"), ("--vd", "1e300")], ids=["ve1e8", "vd1e300"])
-    @pytest.mark.parametrize("command", [
-        ("eval", "--t", "0.5", "--w", "1", "--det", "hom", "--rec", "dr"), ("discord",), ("ppt",),
-    ], ids=["eval", "discord", "ppt"])
+    @pytest.mark.parametrize("command", _SOURCE_COMMANDS, ids=["eval", "discord", "ppt"])
     def test_unevaluable_source_exits_3_from_every_command(self, capsys, command, source):
         code, out, err = run_cli(capsys, *command, *source)
         assert code == 3
         assert out == ""
         [line] = err.splitlines()
         assert line.startswith("error: ")
+
+    @pytest.mark.parametrize("source", [("--ve", "1e8"), ("--vd", "1e300")], ids=["ve1e8", "vd1e300"])
+    def test_every_command_prints_the_same_error(self, capsys, source):
+        errors = {run_cli(capsys, *command, *source)[2] for command in _SOURCE_COMMANDS}
+        assert len(errors) == 1
 
 
 class TestOutputFiles:
@@ -490,3 +526,73 @@ class TestOutputFiles:
             os.umask(old)
         assert code == 0
         assert stat.S_IMODE(target.stat().st_mode) == mode
+
+
+#: Flag values from the edges of every domain, and text no flag accepts.
+_EDGES = ["0", "1", repr(1.0 + 2.0 ** -52), repr(1.0 - 2.0 ** -53), "0.5", "0.75", "40", "1e300",
+          "1e-300", "1.7e308", "-1", "-1e300", "nan", "inf", "-inf", "junk", ""]
+_NUMBER = st.sampled_from(_EDGES) | st.floats().map(repr)
+_RANGE = st.tuples(_NUMBER, _NUMBER).map(":".join) | st.sampled_from(["a", "1:2:3", ":", "1"])
+_STEPS = st.integers(2, 5).map(str) | st.sampled_from(["x", "3.5", ""])
+_SOURCE = {"state": st.sampled_from(["discord", "epr", "junk"]), "vd": _NUMBER, "ve": _NUMBER}
+_PROTOCOL = {"t": _NUMBER, "w": _NUMBER, "det": st.sampled_from(["hom", "het", "x"]),
+             "rec": st.sampled_from(["dr", "rr", "x"])}
+_OUTPUT = {"format": st.sampled_from(["csv", "json", "x"]),
+           "out": st.sampled_from(["f.csv", "no/f.csv", "."]), "clamp-negative": st.just(True)}
+
+#: Each subcommand's flags, and valid flag sets that drawn edits start from.
+_SUBCOMMANDS = {
+    "eval": ({**_SOURCE, **_PROTOCOL, **_OUTPUT}, [
+        dict(vd="40", t="0.9", w="1", det="het", rec="rr"),
+        dict(state="epr", ve="40", t="0.5", w="1.3", det="hom", rec="dr")]),
+    "sweep": ({**_SOURCE, **_PROTOCOL, **_OUTPUT, "sweep": st.sampled_from(["vd", "ve", "t", "w", "x"]),
+               "range": _RANGE, "steps": _STEPS}, [
+        dict(sweep="t", range="0:1", steps="3", vd="40", w="1"),
+        dict(sweep="w", range="1:1e8", steps="3", ve="40", t="0.5", det="hom"),
+        dict(sweep="vd", range="1:1000", steps="3", t="0.9", w="1", rec="rr"),
+        dict(sweep="ve", range="1:100", steps="3", t="0.75", w="1.3", format="json")]),
+    "figure": ({"figure": st.sampled_from(list(FIGURE_IDS) + ["fig7"]), "w": _NUMBER, "steps": _STEPS,
+                **_OUTPUT}, [dict(figure=fig, steps="3") for fig in FIGURE_IDS]),
+    "threshold": ({**_SOURCE, **_PROTOCOL, "sweep": st.sampled_from(["t", "discord", "x"]),
+                   "range": _RANGE}, [
+        dict(sweep="t", vd="40", w="1", det="het", rec="rr"),
+        dict(sweep="discord", t="0.75", w="1", det="het", rec="dr")]),
+    "discord": ({**_SOURCE, "units": st.sampled_from(["bits", "nats", "x"])}, [
+        dict(vd="2"), dict(ve="40", units="nats")]),
+    "ppt": (dict(_SOURCE), [dict(ve="40"), dict(state="discord", vd="500")]),
+}
+
+
+class TestMainProperties:
+    """cli.main on argv drawn from each subcommand's flags: typed exits, one error line."""
+
+    @pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_codes_and_stderr(self, tmp_path, command, data):
+        flags, bases = _SUBCOMMANDS[command]
+        values = dict(data.draw(st.sampled_from(bases)))
+        # Replace or drop a few flags (None drops one) of a valid command.
+        for name in data.draw(st.lists(st.sampled_from(list(flags)), max_size=3, unique=True)):
+            values[name] = data.draw(st.none() | flags[name])
+        argv = [command]
+        for name, value in values.items():
+            if value is None:
+                continue
+            if name == "figure":
+                argv.insert(1, value)
+            elif value is True:
+                argv.append(f"--{name}")
+            else:
+                argv.append(f"--{name}={tmp_path / value if name == 'out' else value}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4, 5), argv
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert out.getvalue() == "", argv
+        if code in (3, 4, 5):
+            [line] = err.getvalue().splitlines()
+            assert line.startswith("error: "), argv

@@ -23,6 +23,8 @@ from discordqkd import (
     secret_key_rate,
 )
 
+from discordqkd.keyrate import key_rate
+
 import highprec as hp
 import oracles
 
@@ -313,12 +315,32 @@ class TestProtocolValues:
         reference = hp.key_rate(*hp.discord_source(40), 0.9, 1, "hom", "rr")
         assert report.key_rate == pytest.approx(float(reference), rel=1e-12)
 
-    @pytest.mark.parametrize("det,rec", [
-        ("homodyne", "reverse"), ("hom", "direct"), ("HOM", "rr"), (None, "rr"), ("het", 1),
-    ])
+    UNKNOWN = [("homodyne", "reverse"), ("hom", "direct"), ("HOM", "rr"), (None, "rr"), ("het", 1),
+               ("xyz", "q")]
+
+    @pytest.mark.parametrize("det,rec", UNKNOWN)
     def test_unknown_value_rejected(self, det, rec):
         with pytest.raises(InvalidParameter):
             ProtocolConfig(det, rec, self.SOURCE, self.CHANNEL)
+
+    @pytest.mark.parametrize("det", list(Detection))
+    @pytest.mark.parametrize("rec", list(Reconciliation))
+    def test_kernel_takes_values(self, det, rec):
+        channel = ChannelParams(t=0.9, w=1.3)
+        by_value = key_rate(self.SOURCE, channel, det.value, rec.value)
+        assert by_value == key_rate(self.SOURCE, channel, det, rec)
+        reference = hp.key_rate(*hp.discord_source(40), 0.9, 1.3, det.value, rec.value)
+        assert by_value.key_rate == pytest.approx(float(reference), rel=1e-12)
+
+    @pytest.mark.parametrize("det,rec", UNKNOWN)
+    def test_kernel_rejects_unknown_value(self, det, rec):
+        with pytest.raises(InvalidParameter):
+            key_rate(self.SOURCE, self.CHANNEL, det, rec)
+
+    @pytest.mark.parametrize("kind,value", [(Detection, "xyz"), (Reconciliation, "hom"), (Detection, None)])
+    def test_enum_rejects_unknown_value(self, kind, value):
+        with pytest.raises(InvalidParameter, match=f"{kind.__name__.lower()} must be one of"):
+            kind(value)
 
     def test_evaluate_point_takes_values(self):
         by_value = evaluate_point("discord", 40.0, 0.9, 1.0, "hom", "rr")
@@ -333,6 +355,35 @@ def _source(state, variance):
     if state == "discord":
         return DiscordStateParams(v=variance - 1.0)
     return EprStateParams(v_e=variance)
+
+
+class TestDiscordStateDomain:
+    """The discord state's V stops where the kernel's 3V + 2 = delta + beta overflows."""
+
+    V_MAX = 5.992310449541052e307
+
+    @pytest.mark.parametrize("det,rec,v,t", [
+        ("hom", "rr", 9.110692143178145e307, 0.9999999999999999),
+        ("het", "rr", 6.968046386148351e307, 0.0),
+    ])
+    def test_variance_past_the_domain_rejected(self, det, rec, v, t):
+        with pytest.raises(InvalidParameter, match=r"3V \+ 2"):
+            secret_key_rate(ProtocolConfig(det, rec, DiscordStateParams(v=v), ChannelParams(t, 1.0)))
+
+    def test_largest_variance_gives_numbers_or_typed_errors(self):
+        assert math.isfinite(3.0 * self.V_MAX + 2.0)
+        with pytest.raises(InvalidParameter):
+            DiscordStateParams(v=math.nextafter(self.V_MAX, math.inf))
+        source = DiscordStateParams(v=self.V_MAX)
+        for det, rec, t, w in itertools.product(
+            Detection, Reconciliation, [0.0, 5e-324, 0.5, 1.0 - 2.0 ** -53, 1.0],
+            [1.0, 1.0 + 2.0 ** -52, 2.0, 1e154, 1e300, 1.7976931348623157e308],
+        ):
+            try:
+                report = key_rate(source, ChannelParams(t, w), det, rec)
+            except GaussianStateError:
+                continue
+            assert all(map(math.isfinite, (report.i_ab, report.i_eve, report.key_rate))), (det, rec, t, w)
 
 
 class TestDecades:

@@ -131,6 +131,8 @@ class TestRunSweep:
             _spec(steps="5")
         with pytest.raises(InvalidParameter):
             run_sweep(_spec(w=None))
+        with pytest.raises(InvalidParameter, match="lo <= hi"):
+            _spec(lo="0")
 
     @pytest.mark.parametrize("overrides", [
         dict(t=0.5),
