@@ -104,10 +104,11 @@ def key_rate(source: SourceParams, channel: ChannelParams, detection: Detection,
             det_x = u * w * delta / alpha + t
             e_v = u * beta + t * w
             trace = u * e_v * (delta / alpha) + u * w * (u * w) + t * u * w * beta + 2.0 * t
-            gap = (delta / alpha) * e_v + (u * t * w * (w - beta) * (w - beta)
-                                          - 2.0 * t * (w - beta) - w * w * beta) / e_v
+            # Products such as (w - beta)^2 overflow past beta ~ 1e154, so each divides by e_v first.
+            gap = ((delta / alpha) * e_v + u * t * w * (w - beta) * ((w - beta) / e_v)
+                   - 2.0 * t * (w - beta) / e_v - w * w * beta / e_v)
             root_disc = u * math.hypot(gap, 2.0 * math.sqrt(t * (w * w - 1.0) * det_e)
-                                       * abs(w - beta) / e_v)
+                                       * (abs(w - beta) / e_v))
         else:
             det_x = beta / v_b
             trace = u * w * (beta * det_x + 1.0 / v_b) + 2.0 * t * det_x

@@ -9,6 +9,7 @@ computed floats exactly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import operator
@@ -51,7 +52,12 @@ class ResultRow:
     error: str = ""
 
     def as_list(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
+        return list(_row_values(self))
+
+
+_ROW_FIELDS = tuple(f.name for f in fields(ResultRow))
+_row_values = operator.attrgetter(*_ROW_FIELDS)
+_VARIANCE, _DISCORD, _KEY_RATE = map(_ROW_FIELDS.index, ("variance", "discord", "key_rate"))
 
 
 @dataclass(frozen=True)
@@ -126,8 +132,8 @@ def _source_params(state: str, variance: float):
     raise InvalidParameter(f"unknown state kind {state!r}")
 
 
-def _source_rows(state, variance, channels, protocols, clamp_negative) -> list[ResultRow]:
-    """One row per (Detection, Reconciliation) pair at each (t, w) of ``channels``, for one source.
+def _source_cells(state, variance, channels, protocols, clamp_negative) -> list[tuple]:
+    """One source's ResultRow values, in field order, per protocol pair at each (t, w) of ``channels``.
 
     Parameter errors propagate.  Any other GaussianStateError is recorded: the source's
     (discord, PPT eigenvalue), computed once, in every row, and a key rate's in its own row.
@@ -139,9 +145,11 @@ def _source_rows(state, variance, channels, protocols, clamp_negative) -> list[R
         discord_ppt, source_error = discord_and_ppt(*source.block_form()), ""
     except GaussianStateError as exc:
         source_error = str(exc)
+    head = (state, variance - 1.0, variance)
+    named = [(det, rec, det.value, rec.value) for det, rec in protocols]
     rows = []
     for channel in channels:
-        for det, rec in protocols:
+        for det, rec, det_name, rec_name in named:
             cells, error = (None,) * 5, source_error
             if not error:
                 try:
@@ -150,8 +158,7 @@ def _source_rows(state, variance, channels, protocols, clamp_negative) -> list[R
                              0.0 if clamp_negative and r.key_rate < 0.0 else r.key_rate)
                 except GaussianStateError as exc:
                     error = str(exc)
-            rows.append(ResultRow(state, variance - 1.0, variance, channel.t, channel.w, det.value,
-                                  rec.value, *cells, error))
+            rows.append((*head, channel.t, channel.w, det_name, rec_name, *cells, error))
     return rows
 
 
@@ -165,8 +172,8 @@ def evaluate_point(
     evaluation is recorded in the row's error field instead of aborting a
     sweep.
     """
-    return _source_rows(state, variance, [(t, w)],
-                        [(Detection(detection), Reconciliation(reconciliation))], clamp_negative)[0]
+    protocol = (Detection(detection), Reconciliation(reconciliation))
+    return ResultRow(*_source_cells(state, variance, [(t, w)], [protocol], clamp_negative)[0])
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
@@ -175,10 +182,11 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
                  for det in spec.detections for rec in spec.reconciliations]
     values = grid(spec.lo, spec.hi, spec.steps)
     if spec._swept_field == "variance":
-        return [row for value in values for row in
-                _source_rows(spec.state, value, [(spec.t, spec.w)], protocols, spec.clamp_negative)]
+        return [ResultRow(*cells) for value in values for cells in
+                _source_cells(spec.state, value, [(spec.t, spec.w)], protocols, spec.clamp_negative)]
     channels = [(value, spec.w) if spec.parameter == "t" else (spec.t, value) for value in values]
-    return _source_rows(spec.state, spec.variance, channels, protocols, spec.clamp_negative)
+    return [ResultRow(*cells) for cells in
+            _source_cells(spec.state, spec.variance, channels, protocols, spec.clamp_negative)]
 
 
 def _fmt(value) -> str:
@@ -190,55 +198,70 @@ def _fmt(value) -> str:
 
 
 def rows_to_csv(rows: Sequence[ResultRow]) -> str:
-    return table_to_csv(CSV_HEADER.split(","), [row.as_list() for row in rows])
+    return table_to_csv(CSV_HEADER.split(","), list(map(_row_values, rows)))
 
 
 def rows_to_json(rows: Sequence[ResultRow]) -> str:
-    return _table_to_json([f.name for f in fields(ResultRow)], [row.as_list() for row in rows])
+    return _table_to_json(_ROW_FIELDS, list(map(_row_values, rows)))
+
+
+def _rows(header: Sequence[str], table: Sequence[Sequence]) -> list:
+    """The table as a list, once the header is known to name a column and each row to fill them all."""
+    table = list(table)
+    if not header or set(map(len, table)) - {len(header)}:
+        raise InvalidParameter(f"a table needs at least one column and {len(header)} values in every row")
+    return table
 
 
 def _table_to_json(header: Sequence[str], table: Sequence[Sequence]) -> str:
     """A JSON list with one object per row, keyed by the header: json.dumps(..., indent=2).
 
     The C encoder, which serves only unindented output, encodes all values at
-    once with NUL between them (NUL inside a string is escaped), and each row
-    fills a fixed template.
+    once with NUL between them (NUL inside a string is escaped), and one
+    template repeated per row takes them all.
     """
-    if not table:
+    if not (table := _rows(header, table)):
         return "[]\n"
     values = json.dumps([v for row in table for v in row], separators=("\0", ":"))[1:-1].split("\0")
     template = "  {\n" + ",\n".join(
         "    " + json.dumps(key).replace("%", "%%") + ": %s" for key in header) + "\n  }"
-    n = len(header)
-    return "[\n" + ",\n".join(
-        template % tuple(values[i:i + n]) for i in range(0, len(values), n)) + "\n]\n"
+    return "[\n" + ",\n".join([template] * len(table)) % tuple(values) + "\n]\n"
+
+
+def _format_column(column: tuple) -> Sequence[str]:
+    """_fmt of each value; a column of exact floats or of exact strs takes one call."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return list(map(float.__repr__, column))
+    return column if kinds == {str} else list(map(_fmt, column))
 
 
 def table_to_csv(header: Sequence[str], table: Sequence[Sequence[float]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in table)
-    return "\n".join(lines) + "\n"
+    columns = map(_format_column, zip(*_rows(header, table)))
+    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
 
 
 def write_text_atomic(text: str, path: str) -> None:
     """Write via a temp file and rename, so no partial file survives a failure.
 
     The temp file is created with mode 0666 less the umask, as a file opened
-    in place would be.
+    in place would be.  An OSError names ``path``.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
-    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp_path, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        # Name the path asked for: the temp file's random name would change from run to run.
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 _FIG_CURVES = [("discord", 40.0, "discord_vd40"), ("discord", 1000.0, "discord_vd1000"),
@@ -280,16 +303,17 @@ def figure_table(
         protocol = [_FIG_RATE_PRESETS[figure_id]]
         header = ["t"] + [label for _, _, label in _FIG_CURVES]
         ts = grid(0.0, 1.0, steps)
-        curves = [_source_rows(state, variance, [(t, w) for t in ts], protocol, clamp_negative)
+        curves = [[row[_KEY_RATE] for row in
+                   _source_cells(state, variance, [(t, w) for t in ts], protocol, clamp_negative)]
                   for state, variance, _ in _FIG_CURVES]
-        return header, [[t] + [row.key_rate for row in rows] for t, *rows in zip(ts, *curves)]
+        return header, list(map(list, zip(ts, *curves)))
     if figure_id in _FIG5_PRESETS:
         det, rec, t_values = _FIG5_PRESETS[figure_id]
         header = ["vd", "discord"] + [f"kr_t{t:g}" for t in t_values]
-        sources = [_source_rows("discord", vd, [(t, w) for t in t_values], [(det, rec)], clamp_negative)
+        sources = [_source_cells("discord", vd, [(t, w) for t in t_values], [(det, rec)], clamp_negative)
                    for vd in grid(1.0, 1000.0, steps)]
-        return header, [[cells[0].variance, cells[0].discord] + [cell.key_rate for cell in cells]
-                        for cells in sources]
+        return header, [[rows[0][_VARIANCE], rows[0][_DISCORD]] + [row[_KEY_RATE] for row in rows]
+                        for rows in sources]
     raise UnknownFigure(f"unknown figure id {figure_id!r}; known: {', '.join(FIGURE_IDS)}")
 
 

@@ -527,6 +527,17 @@ class TestOutputFiles:
         assert code == 0
         assert stat.S_IMODE(target.stat().st_mode) == mode
 
+    def test_unwritable_out_names_the_path_asked_for(self, capsys, tmp_path):
+        target = str(tmp_path / "missing" / "x.csv")
+        runs = [run_cli(capsys, "eval", *TestConfigFile._EVAL, "--out", target) for _ in range(2)]
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert (code, out) == (4, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and line.endswith(f"{target!r}")
+        assert "missing" in line and "x.csv" in line and ".part" not in line
+        assert not (tmp_path / "missing").exists()
+
 
 #: Flag values from the edges of every domain, and text no flag accepts.
 _EDGES = ["0", "1", repr(1.0 + 2.0 ** -52), repr(1.0 - 2.0 ** -53), "0.5", "0.75", "40", "1e300",

@@ -385,6 +385,20 @@ class TestDiscordStateDomain:
                 continue
             assert all(map(math.isfinite, (report.i_ab, report.i_eve, report.key_rate))), (det, rec, t, w)
 
+    @pytest.mark.parametrize("v", [10.0 ** k for k in range(150, 301, 10)] + [5e307])
+    def test_large_variance_matches_reference(self, v):
+        """Squares such as (W - V)^2 overflow past V ~ 1e154, so the kernel must not form them."""
+        source = DiscordStateParams(v=v)
+        with decimal.localcontext() as ctx:
+            # (V + 1)^2 - V^2 cancels to 2V + 1 only with every digit of V^2 kept.
+            ctx.prec = 2 * int(math.log10(v)) + 40
+            reference_source = hp.discord_source(decimal.Decimal(v) + 1)
+            for w, det, rec in itertools.product((1.0, 1.3), Detection, Reconciliation):
+                report = key_rate(source, ChannelParams(0.9, w), det, rec)
+                want = hp.key_rate(*reference_source, decimal.Decimal(0.9), decimal.Decimal(w),
+                                   det.value, rec.value)
+                assert abs(report.key_rate - float(want)) <= 1e-12, (w, det, rec)
+
 
 class TestDecades:
     """Key rates from the (alpha, beta, alpha*beta - gamma^2) kernel across decades."""

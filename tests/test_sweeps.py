@@ -31,7 +31,7 @@ from discordqkd import (
     threshold_on_t,
 )
 from discordqkd import sweeps as sweeps_mod
-from discordqkd.sweeps import SWEEPABLE, find_sign_change, table_to_csv, write_text_atomic
+from discordqkd.sweeps import SWEEPABLE, _table_to_json, find_sign_change, table_to_csv, write_text_atomic
 
 import highprec as hp
 
@@ -366,6 +366,64 @@ class TestSerialization:
         assert os.listdir(tmp_path) == []
 
 
+class _Float(float):
+    """A float subclass whose own repr the writers must not use."""
+
+    def __repr__(self):
+        return f"_Float({float(self)!r})"
+
+
+def _reference_fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _reference_csv(header, table) -> str:
+    """The value-by-value CSV writer the column-wise one replaces."""
+    return "\n".join([",".join(header)] + [",".join(map(_reference_fmt, row)) for row in table]) + "\n"
+
+
+def _reference_json(header, table) -> str:
+    return json.dumps([dict(zip(header, row)) for row in table], indent=2) + "\n"
+
+
+_FLOATS = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7e308])
+_TEXT = st.text() | st.sampled_from(["%", "%s", "%%d", '"', "'", '"%(x)s"', ",", "\0"])
+_KINDS = [_FLOATS, _TEXT, st.none(), st.integers(), st.booleans(), _FLOATS.map(_Float)]
+#: A column holds values of one kind, each kind's fast path included, or of any mix of kinds.
+_COLUMNS = st.sampled_from(_KINDS) | st.just(st.one_of(_KINDS))
+
+
+@st.composite
+def _tables(draw, header=None):
+    header = header or draw(st.lists(_TEXT, min_size=1, max_size=5, unique=True))
+    kinds = [draw(_COLUMNS) for _ in header]
+    n_rows = draw(st.integers(0, 6))
+    return header, [[draw(kind) for kind in kinds] for _ in range(n_rows)]
+
+
+class TestSerialisersEqualReference:
+    """The column-wise writers give the bytes of the value-by-value references."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_tables())
+    def test_tables(self, drawn):
+        header, table = drawn
+        assert table_to_csv(header, table) == _reference_csv(header, table)
+        assert _table_to_json(header, table) == _reference_json(header, table)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(_tables(header=[field.name for field in dataclasses.fields(ResultRow)]))
+    def test_rows(self, drawn):
+        header, table = drawn
+        rows = [ResultRow(*values) for values in table]
+        assert rows_to_csv(rows) == _reference_csv(CSV_HEADER.split(","), table)
+        assert rows_to_json(rows) == _reference_json(header, table)
+
+
 class TestFigures:
     def test_unknown_figure(self):
         with pytest.raises(UnknownFigure):
@@ -407,6 +465,15 @@ class TestFigures:
     def test_table_csv_formatting(self):
         text = table_to_csv(["a", "b"], [[1.0, 0.5], [2.0, None]])
         assert text == "a,b\n1.0,0.5\n2.0,\n"
+
+    @pytest.mark.parametrize("write", [table_to_csv, _table_to_json])
+    @pytest.mark.parametrize("header,table", [
+        (["a", "b"], [[1.0]]), (["a", "b"], [[1.0, 2.0], [3.0]]),
+        (["a", "b"], [[1.0, 2.0], [3.0, 4.0, 5.0]]), ([], []), ([], [[], []]),
+    ])
+    def test_table_not_as_wide_as_its_header_rejected(self, write, header, table):
+        with pytest.raises(InvalidParameter, match=f"at least one column and {len(header)} values"):
+            write(header, table)
 
 
 class TestThresholds:
